@@ -190,7 +190,7 @@ func RunTimingStreamContext(ctx context.Context, cfg Config, prof workload.Profi
 	if w, ok := stream.(interface{ SetWarmer(trace.MemWarmer) }); ok {
 		w.SetWarmer(ms)
 	}
-	res, err := ms.Run(&cancellableStream{ctx: ctx, src: stream})
+	res, err := ms.Run(&cancellableStream{ctx: ctx, src: trace.Batches(stream)})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: timing: %w", prof.Name, err)
 	}
@@ -200,24 +200,29 @@ func RunTimingStreamContext(ctx context.Context, cfg Config, prof workload.Profi
 	return &ActivityTrace{Profile: prof, Timing: res}, nil
 }
 
-// cancellableStream forwards a trace.Stream, surfacing ctx cancellation as
-// a stream error every 4096 instructions. The microarch simulator stops on
-// the first stream error, so a cancelled timing run unwinds promptly and
+// cancellableStream forwards a trace.Stream in batches of at most
+// cancelCheckInterval instructions, surfacing ctx cancellation as a stream
+// error before each batch. The microarch simulator stops on the first
+// stream error, so a cancelled timing run unwinds within one batch and
 // errors.Is(err, context.Canceled) holds through the wrapping.
 type cancellableStream struct {
 	ctx context.Context
-	src trace.Stream
-	n   uint
+	src trace.BatchStream
+	one [1]trace.Instruction // Next's batch
+}
+
+func (s *cancellableStream) NextBatch(buf []trace.Instruction) (int, error) {
+	if err := s.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.src.NextBatch(buf[:min(len(buf), cancelCheckInterval)])
 }
 
 func (s *cancellableStream) Next() (trace.Instruction, error) {
-	if s.n&4095 == 0 {
-		if err := s.ctx.Err(); err != nil {
-			return trace.Instruction{}, err
-		}
+	if _, err := s.NextBatch(s.one[:]); err != nil {
+		return trace.Instruction{}, err
 	}
-	s.n++
-	return s.src.Next()
+	return s.one[0], nil
 }
 
 // AppRun is the evaluation of one application at one technology point. FIT

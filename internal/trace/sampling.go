@@ -87,15 +87,17 @@ type WarmSkipper interface {
 // followed by periodic windows.
 type SystematicSampler struct {
 	src      Stream
+	batches  BatchStream // src, read in batches
 	cfg      SamplerConfig
 	warmer   MemWarmer
 	headLeft int64 // head instructions still to pass through
 	pos      int64 // position within the current period
 	kept     int64
 	dropped  int64
+	one      [1]Instruction // Next's batch
 }
 
-var _ Stream = (*SystematicSampler)(nil)
+var _ BatchStream = (*SystematicSampler)(nil)
 
 // NewSystematicSampler wraps src with systematic sampling.
 func NewSystematicSampler(src Stream, cfg SamplerConfig) (*SystematicSampler, error) {
@@ -105,7 +107,7 @@ func NewSystematicSampler(src Stream, cfg SamplerConfig) (*SystematicSampler, er
 	if src == nil {
 		return nil, errors.New("trace: nil source stream")
 	}
-	return &SystematicSampler{src: src, cfg: cfg, headLeft: cfg.HeadInstrs}, nil
+	return &SystematicSampler{src: src, batches: Batches(src), cfg: cfg, headLeft: cfg.HeadInstrs}, nil
 }
 
 // SetWarmer registers the consumer's memory hierarchy for statistical
@@ -115,62 +117,75 @@ func NewSystematicSampler(src Stream, cfg SamplerConfig) (*SystematicSampler, er
 // plain Skip path.
 func (s *SystematicSampler) SetWarmer(w MemWarmer) { s.warmer = w }
 
-// Next returns the next sampled instruction, skipping out-of-window
-// instructions from the source. Sources implementing Skipper discard each
-// inter-window gap in one cheap jump instead of generating and dropping
-// every instruction in it.
+// Next returns the next sampled instruction.
 func (s *SystematicSampler) Next() (Instruction, error) {
-	if s.headLeft > 0 {
-		in, err := s.src.Next()
-		if err != nil {
-			return Instruction{}, err
-		}
-		s.headLeft--
-		s.kept++
-		return in, nil
+	if _, err := s.NextBatch(s.one[:]); err != nil {
+		return Instruction{}, err
 	}
-	for {
-		if s.pos >= s.cfg.WindowInstrs {
-			if ws, ok := s.src.(WarmSkipper); ok && s.warmer != nil {
-				n, err := ws.SkipWarm(s.cfg.PeriodInstrs-s.pos, s.warmer)
-				s.dropped += n
-				s.pos += n
-				if s.pos >= s.cfg.PeriodInstrs {
-					s.pos = 0
-				}
-				if err != nil {
-					return Instruction{}, err
-				}
-				continue
+	return s.one[0], nil
+}
+
+// NextBatch fills buf with the next sampled instructions, implementing
+// BatchStream: the rest of the head, or of the current window, skipping
+// out-of-window instructions from the source. Sources implementing Skipper
+// discard each inter-window gap in one cheap jump instead of generating
+// and dropping every instruction in it.
+func (s *SystematicSampler) NextBatch(buf []Instruction) (int, error) {
+	n := 0
+	for n < len(buf) {
+		head := s.headLeft > 0
+		var want int64
+		switch {
+		case head:
+			want = s.headLeft
+		case s.pos < s.cfg.WindowInstrs:
+			want = s.cfg.WindowInstrs - s.pos
+		case n > 0:
+			// A batch ends with its window: warming replays the gap into
+			// the consumer's caches, which must first have seen the window.
+			return n, nil
+		default:
+			if err := s.skipGap(buf); err != nil {
+				return 0, err
 			}
-			if sk, ok := s.src.(Skipper); ok {
-				n, err := sk.Skip(s.cfg.PeriodInstrs - s.pos)
-				s.dropped += n
-				s.pos += n
-				if s.pos >= s.cfg.PeriodInstrs {
-					s.pos = 0
-				}
-				if err != nil {
-					return Instruction{}, err
-				}
-				continue
-			}
+			continue
 		}
-		in, err := s.src.Next()
-		if err != nil {
-			return Instruction{}, err
-		}
-		inWindow := s.pos < s.cfg.WindowInstrs
-		s.pos++
-		if s.pos == s.cfg.PeriodInstrs {
+		k, err := s.batches.NextBatch(buf[n : n+int(min(int64(len(buf)-n), want))])
+		n += k
+		s.kept += int64(k)
+		if head {
+			s.headLeft -= int64(k)
+		} else if s.pos += int64(k); s.pos == s.cfg.PeriodInstrs {
 			s.pos = 0
 		}
-		if inWindow {
-			s.kept++
-			return in, nil
+		if err != nil {
+			return n, err
 		}
-		s.dropped++
 	}
+	return n, nil
+}
+
+// skipGap discards source instructions from the current position towards
+// the end of the period: by SkipWarm or Skip where the source offers
+// them, else by reading them into scratch.
+func (s *SystematicSampler) skipGap(scratch []Instruction) error {
+	gap := s.cfg.PeriodInstrs - s.pos
+	var n int64
+	var err error
+	if ws, ok := s.src.(WarmSkipper); ok && s.warmer != nil {
+		n, err = ws.SkipWarm(gap, s.warmer)
+	} else if sk, ok := s.src.(Skipper); ok {
+		n, err = sk.Skip(gap)
+	} else {
+		var k int
+		k, err = s.batches.NextBatch(scratch[:min(int64(len(scratch)), gap)])
+		n = int64(k)
+	}
+	s.dropped += n
+	if s.pos += n; s.pos >= s.cfg.PeriodInstrs {
+		s.pos = 0
+	}
+	return err
 }
 
 // Kept returns the number of instructions passed through.

@@ -128,13 +128,66 @@ type Stream interface {
 	Next() (Instruction, error)
 }
 
+// BatchStream is a Stream that can also hand over many instructions per
+// call, which a consumer of every instruction (the timing simulator)
+// prefers: one call per batch instead of one per instruction.
+//
+// NextBatch fills a prefix of buf, possibly shorter than buf, and returns
+// its length n. With a nil error n is positive for a non-empty buf. At the
+// end of the stream the error is io.EOF; the n instructions delivered
+// with any error are valid.
+type BatchStream interface {
+	Stream
+	NextBatch(buf []Instruction) (n int, err error)
+}
+
+// Batches returns s as a BatchStream: s itself when it implements one,
+// otherwise an adapter that fills each batch by calling s.Next. After the
+// first error the adapter returns that error again without calling s.Next.
+func Batches(s Stream) BatchStream {
+	if bs, ok := s.(BatchStream); ok {
+		return bs
+	}
+	return &nextBatcher{src: s}
+}
+
+// nextBatcher adapts a plain Stream to BatchStream.
+type nextBatcher struct {
+	src Stream
+	err error // the first error from src
+}
+
+func (b *nextBatcher) NextBatch(buf []Instruction) (int, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	for i := range buf {
+		in, err := b.src.Next()
+		if err != nil {
+			b.err = err
+			return i, err
+		}
+		buf[i] = in
+	}
+	return len(buf), nil
+}
+
+func (b *nextBatcher) Next() (Instruction, error) {
+	if b.err != nil {
+		return Instruction{}, b.err
+	}
+	in, err := b.src.Next()
+	b.err = err
+	return in, err
+}
+
 // SliceStream adapts an in-memory instruction slice to the Stream interface.
 type SliceStream struct {
 	instrs []Instruction
 	pos    int
 }
 
-var _ Stream = (*SliceStream)(nil)
+var _ BatchStream = (*SliceStream)(nil)
 
 // NewSliceStream returns a Stream over instrs. The slice is not copied; the
 // caller must not mutate it while streaming.
@@ -150,6 +203,17 @@ func (s *SliceStream) Next() (Instruction, error) {
 	in := s.instrs[s.pos]
 	s.pos++
 	return in, nil
+}
+
+// NextBatch copies the next instructions into buf, implementing
+// BatchStream.
+func (s *SliceStream) NextBatch(buf []Instruction) (int, error) {
+	n := copy(buf, s.instrs[s.pos:])
+	s.pos += n
+	if n < len(buf) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Reset rewinds the stream to the beginning.

@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"github.com/ramp-sim/ramp/internal/trace"
 )
@@ -208,27 +207,40 @@ const (
 
 // block is one static basic block of the synthetic control-flow graph.
 type block struct {
-	startPC   uint64
-	length    int     // instructions including the terminating branch
-	takenBias float64 // probability the terminating branch is taken
-	target    int     // block index jumped to when taken
+	startPC  uint64
+	length   int    // instructions including the terminating branch
+	takenCut int64  // the terminating branch is taken on draws below this cut
+	target   int    // block index jumped to when taken
+	targetPC uint64 // start PC of the target block
 }
 
 // Generator produces the synthetic instruction stream for a profile. It
 // implements trace.Stream. Create with New; the zero value is not usable.
+//
+// Every Float64() < p test of the generation path is an integer compare of
+// the draw behind Float64 with a cut New computes once (see below), so a
+// generated instruction costs a handful of draws and compares.
 type Generator struct {
 	prof      Profile
-	rng       *rand.Rand
+	rng       rng
 	blocks    []block
 	cur       int // current block index
 	pos       int // position within current block
-	recentInt []uint16
-	recentFP  []uint16
+	recentInt [16]uint16
+	recentFP  [16]uint16
 	riPos     int
 	rfPos     int
 	coldPtr   uint64
 	remaining int64
 	produced  int64
+	// Cuts on unit draws: a near source dependency, continuing the
+	// dependency-distance walk (a draw at or above depCut), an FP load or
+	// store value, each cumulative class of the mix, and the cold and
+	// cold-or-warm regions in each phase parity.
+	nearCut, depCut, fpCut int64
+	classCut               [7]int64
+	regionCut              [2][2]int64
+	warm, hot              bound // working-set sizes as Int63n bounds
 	// genCount/genMem tally instructions actually generated (not skipped)
 	// and how many were loads or stores, giving SkipWarm the stream's
 	// dynamic memory-access rate. The static Mix underestimates the branch
@@ -241,7 +253,7 @@ type Generator struct {
 }
 
 var (
-	_ trace.Stream      = (*Generator)(nil)
+	_ trace.BatchStream = (*Generator)(nil)
 	_ trace.Skipper     = (*Generator)(nil)
 	_ trace.WarmSkipper = (*Generator)(nil)
 )
@@ -252,14 +264,13 @@ func New(p Profile, n int64) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
 	g := &Generator{
 		prof:      p,
-		rng:       rng,
-		recentInt: make([]uint16, 16),
-		recentFP:  make([]uint16, 16),
 		remaining: n,
+		warm:      newBound(int64(p.WarmBytes)),
+		hot:       newBound(int64(p.HotBytes)),
 	}
+	g.rng.seed(p.Seed)
 	for i := range g.recentInt {
 		g.recentInt[i] = uint16(_intRegBase + i%_intRegCount)
 	}
@@ -267,7 +278,38 @@ func New(p Profile, n int64) (*Generator, error) {
 		g.recentFP[i] = uint16(_fpRegBase + i%_fpRegCount)
 	}
 	g.buildCFG()
+	g.cutDraws()
 	return g, nil
+}
+
+// cutDraws computes the generation path's cuts. Each is built from the
+// exact floating-point expression the test on Float64() would evaluate,
+// so the integer compare agrees with it on every draw.
+func (g *Generator) cutDraws() {
+	p := g.prof
+	g.nearCut = below(func(x float64) bool { return x < p.NearDepProb })
+	depStop := 1 / p.DepDist
+	g.depCut = below(func(x float64) bool { return !(x > depStop) })
+	if p.Suite == SuiteFP {
+		g.fpCut = below(func(x float64) bool { return x < 0.7 })
+	}
+	m := p.Mix
+	nonBranch := m.Sum() - m.Branch
+	sum := 0.0
+	for i, f := range [len(g.classCut)]float64{m.IntALU, m.IntMul, m.IntDiv, m.FPOp, m.FPDiv, m.Load, m.Store} {
+		sum += f
+		cum := sum
+		g.classCut[i] = below(func(x float64) bool { return x*nonBranch < cum })
+	}
+	for parity := range g.regionCut {
+		scale := g.phaseScaleAt(int64(parity) * p.PhaseInstrs)
+		warmProb := p.WarmProb * scale
+		coldProb := p.ColdProb * scale
+		g.regionCut[parity] = [2]int64{
+			below(func(x float64) bool { return x < coldProb }),
+			below(func(x float64) bool { return x < coldProb+warmProb }),
+		}
+	}
 }
 
 // buildCFG lays out the static basic blocks. Block lengths are sampled
@@ -280,7 +322,7 @@ func (g *Generator) buildCFG() {
 	for i := range g.blocks {
 		// Lengths vary ±50% around the mean, minimum 2 (one body
 		// instruction plus the branch).
-		l := int(meanLen * (0.5 + g.rng.Float64()))
+		l := int(meanLen * (0.5 + g.rng.float64()))
 		if l < 2 {
 			l = 2
 		}
@@ -288,9 +330,19 @@ func (g *Generator) buildCFG() {
 		g.blocks[i].length = l
 		pc += uint64(l) * 4
 	}
+	// Biases take four values, so their cuts are computed once each.
+	cuts := map[float64]int64{}
 	for i := range g.blocks {
-		g.blocks[i].takenBias = g.sampleBias()
-		g.blocks[i].target = g.sampleTarget(i)
+		b := &g.blocks[i]
+		bias := g.sampleBias()
+		cut, ok := cuts[bias]
+		if !ok {
+			cut = below(func(x float64) bool { return x < bias })
+			cuts[bias] = cut
+		}
+		b.takenCut = cut
+		b.target = g.sampleTarget(i)
+		b.targetPC = g.blocks[b.target].startPC
 	}
 }
 
@@ -308,13 +360,13 @@ func (g *Generator) sampleBias() float64 {
 		q = 1
 	}
 	var acc float64
-	if g.rng.Float64() < q {
+	if g.rng.float64() < q {
 		acc = strong
 	} else {
 		acc = weak
 	}
 	// Convert accuracy to a bias on either side of 0.5.
-	if g.rng.Float64() < 0.5 {
+	if g.rng.float64() < 0.5 {
 		return acc // mostly taken
 	}
 	return 1 - acc // mostly not-taken
@@ -325,48 +377,69 @@ func (g *Generator) sampleBias() float64 {
 // jump to a random later block.
 func (g *Generator) sampleTarget(i int) int {
 	n := len(g.blocks)
-	if g.rng.Float64() < g.prof.LoopProb {
-		back := 1 + g.rng.Intn(8)
+	if g.rng.float64() < g.prof.LoopProb {
+		back := 1 + g.rng.intn(8)
 		t := i - back
 		if t < 0 {
 			t = 0
 		}
 		return t
 	}
-	fwd := 1 + g.rng.Intn(8)
+	fwd := 1 + g.rng.intn(8)
 	return (i + fwd) % n
 }
 
 // Next produces the next instruction of the stream.
 func (g *Generator) Next() (trace.Instruction, error) {
-	if g.remaining == 0 {
-		return trace.Instruction{}, io.EOF
+	var b [1]trace.Instruction
+	if _, err := g.NextBatch(b[:]); err != nil {
+		return trace.Instruction{}, err
 	}
-	b := &g.blocks[g.cur]
-	pc := b.startPC + uint64(g.pos)*4
-	var in trace.Instruction
-	if g.pos == b.length-1 {
-		in = g.makeBranch(pc, b)
-		// Advance control flow.
-		if in.Taken {
-			g.cur = b.target
-		} else {
-			g.cur = (g.cur + 1) % len(g.blocks)
-		}
-		g.pos = 0
-	} else {
-		in = g.makeBody(pc)
-		g.pos++
+	return b[0], nil
+}
+
+// NextBatch fills buf with the next instructions of the stream,
+// implementing trace.BatchStream.
+func (g *Generator) NextBatch(buf []trace.Instruction) (int, error) {
+	n := len(buf)
+	if g.remaining >= 0 && int64(n) > g.remaining {
+		n = int(g.remaining)
+	}
+	for i := range buf[:n] {
+		g.next(&buf[i])
 	}
 	if g.remaining > 0 {
-		g.remaining--
+		g.remaining -= int64(n)
+	}
+	g.genCount += int64(n)
+	if n < len(buf) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// next generates one instruction into in and advances the control-flow
+// walk. Instructions are built in place: returning them by value through
+// the make functions cost as much as generating them.
+func (g *Generator) next(in *trace.Instruction) {
+	b := &g.blocks[g.cur]
+	pc := b.startPC + uint64(g.pos)*4
+	if g.pos == b.length-1 {
+		g.makeBranch(in, pc, b)
+		g.pos = 0
+		if in.Taken {
+			g.cur = b.target
+		} else if g.cur++; g.cur == len(g.blocks) {
+			g.cur = 0
+		}
+	} else {
+		g.makeBody(in, pc)
+		g.pos++
 	}
 	g.produced++
-	g.genCount++
-	if in.Class == trace.ClassLoad || in.Class == trace.ClassStore {
+	if in.Class.IsMem() {
 		g.genMem++
 	}
-	return in, nil
 }
 
 // Produced returns the number of instructions generated so far.
@@ -509,57 +582,53 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (g *Generator) makeBranch(pc uint64, b *block) trace.Instruction {
-	in := trace.Instruction{
+func (g *Generator) makeBranch(in *trace.Instruction, pc uint64, b *block) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassBranch,
 		Src1:  g.pickSource(false),
-		Taken: g.rng.Float64() < b.takenBias,
+		Taken: g.rng.unit() < b.takenCut,
 	}
 	if in.Taken {
-		in.Target = g.blocks[b.target].startPC
+		in.Target = b.targetPC
 	}
-	return in
 }
 
 // makeBody samples a non-branch instruction from the mix.
-func (g *Generator) makeBody(pc uint64) trace.Instruction {
-	m := g.prof.Mix
-	nonBranch := m.Sum() - m.Branch
-	x := g.rng.Float64() * nonBranch
+func (g *Generator) makeBody(in *trace.Instruction, pc uint64) {
+	v, c := g.rng.unit(), &g.classCut
 	switch {
-	case x < m.IntALU:
-		return g.makeALU(pc, trace.ClassIntALU)
-	case x < m.IntALU+m.IntMul:
-		return g.makeALU(pc, trace.ClassIntMul)
-	case x < m.IntALU+m.IntMul+m.IntDiv:
-		return g.makeALU(pc, trace.ClassIntDiv)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp:
-		return g.makeFP(pc, trace.ClassFPOp)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp+m.FPDiv:
-		return g.makeFP(pc, trace.ClassFPDiv)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp+m.FPDiv+m.Load:
-		return g.makeLoad(pc)
-	case x < m.IntALU+m.IntMul+m.IntDiv+m.FPOp+m.FPDiv+m.Load+m.Store:
-		return g.makeStore(pc)
+	case v < c[0]:
+		g.makeALU(in, pc, trace.ClassIntALU)
+	case v < c[1]:
+		g.makeALU(in, pc, trace.ClassIntMul)
+	case v < c[2]:
+		g.makeALU(in, pc, trace.ClassIntDiv)
+	case v < c[3]:
+		g.makeFP(in, pc, trace.ClassFPOp)
+	case v < c[4]:
+		g.makeFP(in, pc, trace.ClassFPDiv)
+	case v < c[5]:
+		g.makeLoad(in, pc)
+	case v < c[6]:
+		g.makeStore(in, pc)
 	default:
-		return g.makeLCR(pc)
+		g.makeLCR(in, pc)
 	}
 }
 
-func (g *Generator) makeALU(pc uint64, c trace.Class) trace.Instruction {
-	in := trace.Instruction{
+func (g *Generator) makeALU(in *trace.Instruction, pc uint64, c trace.Class) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: c,
 		Src1:  g.pickSource(false),
 		Src2:  g.pickSource(false),
 		Dest:  g.newDest(false),
 	}
-	return in
 }
 
-func (g *Generator) makeFP(pc uint64, c trace.Class) trace.Instruction {
-	return trace.Instruction{
+func (g *Generator) makeFP(in *trace.Instruction, pc uint64, c trace.Class) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: c,
 		Src1:  g.pickSource(true),
@@ -568,9 +637,9 @@ func (g *Generator) makeFP(pc uint64, c trace.Class) trace.Instruction {
 	}
 }
 
-func (g *Generator) makeLoad(pc uint64) trace.Instruction {
-	fp := g.prof.Suite == SuiteFP && g.rng.Float64() < 0.7
-	return trace.Instruction{
+func (g *Generator) makeLoad(in *trace.Instruction, pc uint64) {
+	fp := g.prof.Suite == SuiteFP && g.rng.unit() < g.fpCut
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassLoad,
 		Addr:  g.dataAddress(),
@@ -579,9 +648,9 @@ func (g *Generator) makeLoad(pc uint64) trace.Instruction {
 	}
 }
 
-func (g *Generator) makeStore(pc uint64) trace.Instruction {
-	fp := g.prof.Suite == SuiteFP && g.rng.Float64() < 0.7
-	return trace.Instruction{
+func (g *Generator) makeStore(in *trace.Instruction, pc uint64) {
+	fp := g.prof.Suite == SuiteFP && g.rng.unit() < g.fpCut
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassStore,
 		Addr:  g.dataAddress(),
@@ -590,8 +659,8 @@ func (g *Generator) makeStore(pc uint64) trace.Instruction {
 	}
 }
 
-func (g *Generator) makeLCR(pc uint64) trace.Instruction {
-	return trace.Instruction{
+func (g *Generator) makeLCR(in *trace.Instruction, pc uint64) {
+	*in = trace.Instruction{
 		PC:    pc,
 		Class: trace.ClassLCR,
 		Src1:  g.pickSource(false),
@@ -599,12 +668,9 @@ func (g *Generator) makeLCR(pc uint64) trace.Instruction {
 	}
 }
 
-// phaseScale returns the current multiplier on the warm/cold access
-// probabilities: >1 in the memory phase, <1 in the compute phase, 1 with
-// phases disabled.
-func (g *Generator) phaseScale() float64 { return g.phaseScaleAt(g.produced) }
-
-// phaseScaleAt evaluates the phase schedule at absolute trace position p.
+// phaseScaleAt evaluates the phase schedule at absolute trace position p:
+// the multiplier on the warm/cold access probabilities, >1 in the memory
+// phase, <1 in the compute phase, 1 with phases disabled.
 func (g *Generator) phaseScaleAt(p int64) float64 {
 	if g.prof.PhaseInstrs <= 0 {
 		return 1
@@ -627,57 +693,57 @@ const (
 // model: hot (L1-resident), warm (L2-resident), or cold (streaming past
 // the L2). Regions are disjoint so cache behaviour is controllable.
 func (g *Generator) dataAddress() uint64 {
-	scale := g.phaseScale()
-	warmProb := g.prof.WarmProb * scale
-	coldProb := g.prof.ColdProb * scale
-	x := g.rng.Float64()
+	parity := 0
+	if g.prof.PhaseInstrs > 0 {
+		parity = int(g.produced/g.prof.PhaseInstrs) & 1
+	}
+	v, c := g.rng.unit(), &g.regionCut[parity]
 	switch {
-	case x < coldProb:
+	case v < c[0]:
 		// Stream through a region far larger than the L2 in cache-line
 		// steps so every access is a fresh line.
 		g.coldPtr += 64
 		return coldBase + g.coldPtr%(1<<30)
-	case x < coldProb+warmProb:
-		off := uint64(g.rng.Int63n(int64(g.prof.WarmBytes))) &^ 7
-		return warmBase + off
+	case v < c[1]:
+		return warmBase + uint64(g.rng.int63n(g.warm))&^7
 	default:
-		off := uint64(g.rng.Int63n(int64(g.prof.HotBytes))) &^ 7
-		return hotBase + off
+		return hotBase + uint64(g.rng.int63n(g.hot))&^7
 	}
 }
 
 // pickSource chooses a source register: near (recently written, likely
 // in flight) with probability NearDepProb, else a stable old value.
 func (g *Generator) pickSource(fp bool) uint16 {
-	recent, pos := g.recentInt, g.riPos
-	base, count := uint16(_intRegBase), _intRegCount
+	recent, pos := &g.recentInt, g.riPos
+	base, count := uint16(_intRegBase), int32(_intRegCount)
 	if fp {
-		recent, pos = g.recentFP, g.rfPos
+		recent, pos = &g.recentFP, g.rfPos
 		base, count = uint16(_fpRegBase), _fpRegCount
 	}
-	if g.rng.Float64() < g.prof.NearDepProb {
+	if g.rng.unit() < g.nearCut {
 		// Geometric distance with the profile's mean, capped by the
 		// recent-ring size.
 		d := 1
-		for float64(d) < float64(len(recent)) && g.rng.Float64() > 1/g.prof.DepDist {
+		for d < len(recent) && g.rng.unit() >= g.depCut {
 			d++
 		}
-		idx := (pos - d + 2*len(recent)) % len(recent)
-		return recent[idx]
+		return recent[(pos-d)&(len(recent)-1)]
 	}
-	return base + uint16(g.rng.Intn(count))
+	// Intn(count): the register counts are powers of two, so Intn masks
+	// an Int31 draw.
+	return base + uint16(int32(g.rng.int63()>>32)&(count-1))
 }
 
 // newDest allocates the next destination register round-robin and records
 // it in the recent ring used for dependency construction.
 func (g *Generator) newDest(fp bool) uint16 {
 	if fp {
-		reg := uint16(_fpRegBase + int(g.rfPos)%_fpRegCount)
+		reg := uint16(_fpRegBase + g.rfPos%_fpRegCount)
 		g.recentFP[g.rfPos%len(g.recentFP)] = reg
 		g.rfPos++
 		return reg
 	}
-	reg := uint16(_intRegBase + int(g.riPos)%_intRegCount)
+	reg := uint16(_intRegBase + g.riPos%_intRegCount)
 	g.recentInt[g.riPos%len(g.recentInt)] = reg
 	g.riPos++
 	return reg
