@@ -208,7 +208,6 @@ func RunTimingStreamContext(ctx context.Context, cfg Config, prof workload.Profi
 type cancellableStream struct {
 	ctx context.Context
 	src trace.BatchStream
-	one [1]trace.Instruction // Next's batch
 }
 
 func (s *cancellableStream) NextBatch(buf []trace.Instruction) (int, error) {
@@ -219,10 +218,10 @@ func (s *cancellableStream) NextBatch(buf []trace.Instruction) (int, error) {
 }
 
 func (s *cancellableStream) Next() (trace.Instruction, error) {
-	if _, err := s.NextBatch(s.one[:]); err != nil {
+	if err := s.ctx.Err(); err != nil {
 		return trace.Instruction{}, err
 	}
-	return s.one[0], nil
+	return s.src.Next()
 }
 
 // AppRun is the evaluation of one application at one technology point. FIT

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,5 +240,29 @@ func TestRunTimingCancelled(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("timing run did not stop after cancellation")
+	}
+}
+
+// TestRunTimingCancellationCadence pins how soon: the timing stage polls
+// its context once per batch of cancelCheckInterval instructions, so a
+// context that cancels on its third poll stops it after exactly two
+// batches, with no further polls.
+func TestRunTimingCancellationCadence(t *testing.T) {
+	cfg := testConfig()
+	cfg.Instructions = 1_000_000
+	prof, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx := &countingCtx{limit: 3}
+	_, err = RunTimingContext(cctx, cfg, prof)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if cctx.calls != cctx.limit {
+		t.Errorf("timing polled %d times; cancellation was visible at poll %d", cctx.calls, cctx.limit)
+	}
+	if want := fmt.Sprintf("after %d instructions", (cctx.limit-1)*cancelCheckInterval); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not report %q", err, want)
 	}
 }

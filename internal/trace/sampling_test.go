@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -68,6 +69,60 @@ func TestSamplerKeepsExactWindows(t *testing.T) {
 	}
 	if s.Kept() != 30 || s.Dropped() != 70 {
 		t.Fatalf("kept/dropped = %d/%d, want 30/70", s.Kept(), s.Dropped())
+	}
+}
+
+// nextOnly hides a stream's NextBatch, so a sampler reads it through the
+// adapter Batches builds.
+type nextOnly struct{ Stream }
+
+// TestSamplerBatchesMatchNext pins the batch path against reading one
+// instruction at a time: whatever the batch size, and whether the source
+// serves batches, the sampler delivers the same instructions with the same
+// counts, and no batch runs past the end of its window, where a warming
+// source would replay the gap into the consumer's caches.
+func TestSamplerBatchesMatchNext(t *testing.T) {
+	cfg := SamplerConfig{WindowInstrs: 30, PeriodInstrs: 100, HeadInstrs: 45}
+	ref, err := NewSystematicSampler(countingStream(1000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Collect(ref, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plain := range []bool{false, true} {
+		for _, size := range []int{1, 7, 256} {
+			src := countingStream(1000)
+			if plain {
+				src = nextOnly{src}
+			}
+			s, err := NewSystematicSampler(src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Instruction
+			buf := make([]Instruction, size)
+			for {
+				n, err := s.NextBatch(buf)
+				for i := 1; i < n; i++ {
+					if buf[i].PC != buf[i-1].PC+4 {
+						t.Fatalf("plain %v, batch %d: batch spans a gap at PC %#x", plain, size, buf[i].PC)
+					}
+				}
+				got = append(got, buf[:n]...)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(got, want) || s.Kept() != ref.Kept() || s.Dropped() != ref.Dropped() {
+				t.Fatalf("plain %v, batch %d: %d instructions, kept %d, dropped %d; want %d, %d, %d",
+					plain, size, len(got), s.Kept(), s.Dropped(), len(want), ref.Kept(), ref.Dropped())
+			}
+		}
 	}
 }
 

@@ -104,6 +104,37 @@ func TestSliceStream(t *testing.T) {
 	}
 }
 
+// countingNexts counts the Next calls made on a plain stream.
+type countingNexts struct {
+	Stream
+	calls int
+}
+
+func (c *countingNexts) Next() (Instruction, error) {
+	c.calls++
+	return c.Stream.Next()
+}
+
+// TestBatchesStopsAtFirstError pins the adapter's contract: instructions
+// read before an error come back with it, and the source is not read
+// again after it.
+func TestBatchesStopsAtFirstError(t *testing.T) {
+	src := &countingNexts{Stream: NewSliceStream(make([]Instruction, 3))}
+	b := Batches(src)
+	buf := make([]Instruction, 2)
+	for i, want := range []struct {
+		n   int
+		err error
+	}{{2, nil}, {1, io.EOF}, {0, io.EOF}} {
+		if n, err := b.NextBatch(buf); n != want.n || err != want.err {
+			t.Fatalf("batch %d = %d, %v; want %d, %v", i, n, err, want.n, want.err)
+		}
+	}
+	if src.calls != 4 {
+		t.Fatalf("source read %d times, want 4: three instructions and one EOF", src.calls)
+	}
+}
+
 func TestCollectLimit(t *testing.T) {
 	instrs := make([]Instruction, 10)
 	for i := range instrs {

@@ -160,7 +160,7 @@ func (p Profile) Validate() error {
 	if !(p.WarmProb >= 0 && p.ColdProb >= 0 && p.WarmProb+p.ColdProb <= 1) {
 		return fmt.Errorf("workload: profile %q: invalid warm/cold probabilities", p.Name)
 	}
-	// Working-set sizes feed rand.Int63n, which panics on non-positive
+	// Working-set sizes feed Int63n (rng.go), which panics on non-positive
 	// arguments: sizes above MaxInt64 would wrap negative.
 	if p.HotBytes == 0 || p.WarmBytes == 0 {
 		return fmt.Errorf("workload: profile %q: working-set sizes must be positive", p.Name)
@@ -215,7 +215,8 @@ type block struct {
 }
 
 // Generator produces the synthetic instruction stream for a profile. It
-// implements trace.Stream. Create with New; the zero value is not usable.
+// implements trace.BatchStream. Create with New; the zero value is not
+// usable.
 //
 // Every Float64() < p test of the generation path is an integer compare of
 // the draw behind Float64 with a cut New computes once (see below), so a
@@ -389,13 +390,18 @@ func (g *Generator) sampleTarget(i int) int {
 	return (i + fwd) % n
 }
 
-// Next produces the next instruction of the stream.
-func (g *Generator) Next() (trace.Instruction, error) {
-	var b [1]trace.Instruction
-	if _, err := g.NextBatch(b[:]); err != nil {
-		return trace.Instruction{}, err
+// Next produces the next instruction of the stream: NextBatch for a batch
+// of one, with the batch bookkeeping written out for a single instruction.
+func (g *Generator) Next() (in trace.Instruction, err error) {
+	if g.remaining == 0 {
+		return in, io.EOF
 	}
-	return b[0], nil
+	g.next(&in)
+	if g.remaining > 0 {
+		g.remaining--
+	}
+	g.genCount++
+	return in, nil
 }
 
 // NextBatch fills buf with the next instructions of the stream,
@@ -447,7 +453,7 @@ func (g *Generator) Produced() int64 { return g.produced }
 
 // Skip discards up to n upcoming instructions in O(1), implementing
 // trace.Skipper for systematic sampling. The generator advances its
-// position counters — the phase schedule (phaseScale) and the cold-stream
+// position counters — the phase schedule (phaseScaleAt) and the cold-stream
 // pointer are driven by absolute trace position, so memory/compute phases
 // stay aligned across skips — while the control-flow walk, dependency
 // rings, and RNG carry over unchanged: the next window continues the walk
