@@ -109,7 +109,7 @@ func (tcRainflowModel) Description() string {
 	return "Rainflow-counted thermal cycling: ASTM E1049 cycle counting over the die-average temperature series with Coffin-Manson + Arrhenius damage per cycle (SDTA-style); higher-fidelity alternative to tc"
 }
 func (tcRainflowModel) ParamsDescription() string {
-	return "TCRainflow.Q Coffin-Manson exponent (6, brittle fracture), TCRainflow.ActivationEnergyEV Arrhenius Eatc (0.7), TCRainflow.MinRangeK peak threshold (2)"
+	return "TCRainflow.Q Coffin-Manson exponent (6, brittle fracture), TCRainflow.ActivationEnergyEV Arrhenius Eatc (0.7), TCRainflow.MinRangeK peak threshold (0, count every cycle)"
 }
 func (tcRainflowModel) Scope() MechanismScope { return ScopePackage }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -228,4 +230,27 @@ func TestRegistryConcurrentResolution(t *testing.T) {
 	}()
 	close(start)
 	wg.Wait()
+}
+
+// TestTCRainflowParamsDescriptionMatchesDefaults formats
+// DefaultTCRainflowParams and checks every "TCRainflow.<Field> … (value"
+// the /v1/mechanisms description quotes against it, so the advertised
+// defaults cannot drift from the ones the model uses.
+func TestTCRainflowParamsDescriptionMatchesDefaults(t *testing.T) {
+	defaults := reflect.ValueOf(DefaultTCRainflowParams())
+	quoted := regexp.MustCompile(`TCRainflow\.(\w+) [^(]*\(([^,)]+)`).
+		FindAllStringSubmatch(tcRainflowModel{}.ParamsDescription(), -1)
+	if len(quoted) != defaults.NumField() {
+		t.Fatalf("description quotes %d parameters, TCRainflowParams has %d", len(quoted), defaults.NumField())
+	}
+	for _, q := range quoted {
+		f := defaults.FieldByName(q[1])
+		if !f.IsValid() {
+			t.Errorf("description names unknown parameter %s", q[1])
+			continue
+		}
+		if want := fmt.Sprintf("%g", f.Float()); q[2] != want {
+			t.Errorf("description quotes %s = %s, default is %s", q[1], q[2], want)
+		}
+	}
 }

@@ -6,9 +6,9 @@
 // The package is deliberately ignorant of HTTP and of the simulation: a
 // job carries an opaque payload and a content-address key, and an
 // injectable Executor turns the payload into a result. The serving layer
-// supplies an executor that routes through its singleflight group and
-// result cache, so a batch job deduplicates against interactive traffic
-// exactly like a blocking request would.
+// supplies an executor that routes through its result memo, so a batch
+// job deduplicates against interactive traffic exactly like a blocking
+// request would.
 //
 // Lifecycle FSM:
 //

@@ -50,7 +50,7 @@ const (
 	// ResultMiss: this run led the computation.
 	ResultMiss = "miss"
 	// ResultCoalesced: the run piggybacked on an identical in-flight
-	// computation (singleflight follower).
+	// computation (a follower of its memo flight).
 	ResultCoalesced = "coalesced"
 )
 

@@ -20,9 +20,10 @@ import (
 // the work then drains through the internal/jobs queue asynchronously —
 // degrading to queueing under load where the interactive endpoints shed
 // 429s. Each config is content-addressed (sim.StudyKey / sim.MCStudyKey)
-// and deduplicated at three levels: within the batch and against live
-// jobs (the queue's dedup index), against identical in-flight interactive
-// requests (the singleflight group), and against the result cache.
+// and deduplicated at two levels: the queue's dedup index gives identical
+// configs one job identity, within the batch and against live jobs; the
+// result memo then serves each job from a finished result or joins it to
+// an identical computation already in flight, batch or interactive.
 //
 // Endpoints:
 //
@@ -413,17 +414,18 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request, batch
 	}
 }
 
-// executeJob is the queue's Executor: it routes a job's payload through
-// the same singleflight group, result cache, and stage cache the
-// interactive endpoints use, so batch and interactive traffic deduplicate
-// against each other. Batch jobs bypass the interactive admission queue —
-// their concurrency is bounded by the queue's worker pool instead, which
-// is what lets overload degrade to queueing rather than 429s.
+// executeJob is the queue's Executor: it serves a job's payload through
+// the same result memo and stage cache the interactive endpoints use, so
+// batch and interactive traffic deduplicate against each other. Batch
+// jobs bypass the interactive admission queue — their concurrency is
+// bounded by the queue's worker pool instead, which is what lets overload
+// degrade to queueing rather than 429s.
 func (s *Server) executeJob(ctx context.Context, j *jobs.Job) (any, error) {
 	payload, ok := j.Payload.(batchPayload)
 	if !ok {
 		return nil, &badRequestError{fmt.Errorf("job %s carries no batch payload", j.ID)}
 	}
+	item := payload.item
 	start := s.now()
 	// Restore the submitting request's identity so executor spans, logs,
 	// and the run record stay attributable end to end across the queue.
@@ -433,13 +435,7 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job) (any, error) {
 	if tc, ok := obs.ParseTraceparent(j.Origin.Traceparent); ok {
 		ctx = obs.WithTraceContext(ctx, tc)
 	}
-	sinks := []obs.SpanSink{s.obs.jobSink}
-	var stats *obs.RunStats
-	if s.ledger != nil {
-		stats = obs.NewRunStats()
-		sinks = append(sinks, stats)
-	}
-	ctx, span := obs.StartSpan(obs.WithTracer(ctx, obs.NewTracer(obs.MultiSink(sinks...))), spanJobRun)
+	ctx, span := obs.StartSpan(obs.WithTracer(ctx, obs.NewTracer(s.obs.jobSink)), spanJobRun)
 	span.SetAttr("job", j.ID)
 	span.SetAttr("kind", string(j.Kind))
 	span.SetAttr("key", j.Key)
@@ -454,7 +450,33 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job) (any, error) {
 	s.logger.Info("job start", "job_id", j.ID, "kind", j.Kind, "key", j.Key, "tenant", j.Tenant,
 		"request_id", j.Origin.RequestID, "trace_id", traceID)
 
-	res, resultCache, flightStats, err := s.runBatchItem(ctx, payload)
+	// Progress: a study job's cells fill 0–100%; an MC job's study fills
+	// the first half and its sampled cells the second.
+	job := jobs.JobFrom(ctx)
+	progress := func(from, width float64, done, total int) {
+		if job != nil && total > 0 {
+			job.SetPercent(from + width*float64(done)/float64(total))
+		}
+	}
+	var rn run
+	switch item.Kind {
+	case sim.JobStudy:
+		rn = s.studyRun(j.Key, false, item.Config, item.Profiles, item.Techs, func(ev sim.AppEvent) {
+			progress(0, 100, ev.CellsDone, ev.CellsTotal)
+		})
+	case sim.JobMC:
+		rn = s.mcRun(j.Key, payload.studyKey, false, item.Config, item.Profiles, item.Techs, item.MC,
+			func(ev sim.AppEvent) { progress(0, 50, ev.CellsDone, ev.CellsTotal) },
+			func(ev sim.MCEvent) {
+				if ev.Final {
+					progress(50, 50, ev.CellsDone, ev.CellsTotal)
+				}
+			})
+	default:
+		return nil, &badRequestError{fmt.Errorf("unknown job kind %q", item.Kind)}
+	}
+	c := s.begin(ctx, rn)
+	res, err := c.wait(ctx)
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
@@ -468,84 +490,16 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job) (any, error) {
 	s.obs.jobRuns.With(string(j.Kind), outcome).Inc()
 	if s.ledger != nil {
 		snap := j.Snapshot(s.now())
-		rec := s.newRunRecord(ctx, "job."+string(j.Kind), j.Key, payload.item.Config,
-			len(payload.item.Profiles), start, resultCache, err)
+		rec := s.newRunRecord(ctx, "job."+string(j.Kind), j.Key, item.Config,
+			len(item.Profiles), start, c.disp, err)
 		rec.Tenant = j.Tenant
 		rec.JobID = j.ID
 		rec.Attempt = snap.Attempts
 		rec.QueueMS = snap.QueuedMS
-		if flightStats != nil {
-			flightStats.Fill(&rec)
-		}
-		stats.Fill(&rec)
+		c.fill(&rec)
 		s.appendRun(rec)
 	}
 	return res, err
-}
-
-// runBatchItem executes one planned item against the caches and the
-// simulator. Alongside the result it reports ledger provenance: how the
-// result cache answered (hit / miss / coalesced) and the deterministic
-// study flight's stage stats (nil on cache hits and when the ledger is
-// off).
-func (s *Server) runBatchItem(ctx context.Context, p batchPayload) (any, string, *obs.RunStats, error) {
-	item := p.item
-	switch item.Kind {
-	case sim.JobStudy:
-		key := p.studyKey
-		if v, ok := s.cache.Get(key); ok {
-			return v.(*sim.StudyResult), obs.ResultHit, nil, nil
-		}
-		job := jobs.JobFrom(ctx)
-		res, coalesced, fstats, err := s.studyFlight(ctx, item.Config, item.Profiles, item.Techs, key, false,
-			func(ev sim.AppEvent) {
-				if job != nil && ev.CellsTotal > 0 {
-					job.SetPercent(100 * float64(ev.CellsDone) / float64(ev.CellsTotal))
-				}
-			})
-		rc := obs.ResultMiss
-		if coalesced {
-			rc = obs.ResultCoalesced
-		}
-		return res, rc, fstats, err
-	case sim.JobMC:
-		mcKey, err := sim.MCStudyKey(item.Config, item.MC, item.Profiles, item.Techs)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if v, ok := s.cache.Get(mcKey); ok {
-			return v.(*sim.MCResult), obs.ResultHit, nil, nil
-		}
-		job := jobs.JobFrom(ctx)
-		base, _, fstats, err := s.studyFlight(ctx, item.Config, item.Profiles, item.Techs, p.studyKey, false,
-			func(ev sim.AppEvent) {
-				// The deterministic study is the first half of an MC job.
-				if job != nil && ev.CellsTotal > 0 {
-					job.SetPercent(50 * float64(ev.CellsDone) / float64(ev.CellsTotal))
-				}
-			})
-		if err != nil {
-			return nil, obs.ResultMiss, fstats, err
-		}
-		res, err := sim.MonteCarloStudy(ctx, base, item.MC, sim.MCOptions{
-			Parallelism: s.cfg.Parallelism,
-			Metrics:     s.schedRec,
-			OnEvent: func(ev sim.MCEvent) {
-				if job != nil && ev.Final && ev.CellsTotal > 0 {
-					job.SetPercent(50 + 50*float64(ev.CellsDone)/float64(ev.CellsTotal))
-				}
-			},
-		})
-		if err != nil {
-			return nil, obs.ResultMiss, fstats, err
-		}
-		s.cache.Put(mcKey, res)
-		s.metrics.MCReplicas.Add(int64(res.TotalReplicas))
-		s.obs.mcReplicas.Add(uint64(res.TotalReplicas))
-		return res, obs.ResultMiss, fstats, nil
-	default:
-		return nil, "", nil, &badRequestError{fmt.Errorf("unknown job kind %q", item.Kind)}
-	}
 }
 
 // retryableJobError classifies executor failures for the queue: client

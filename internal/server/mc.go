@@ -1,14 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/scaling"
@@ -34,10 +32,12 @@ import (
 //	              sim.MCResult plus response meta.
 //	error       — exactly once on failure, last: the standard error body.
 //
-// Closing the connection cancels the sampling. The deterministic study
-// feeding the sampler coalesces with identical /v1/study traffic and its
-// stages stay in the stage cache, so two MC requests differing only in
-// seed or sample count share one simulation.
+// Closing the connection cancels the sampling once no other request waits
+// on it. Identical concurrent MC requests share one sampling run, and a
+// joining or cache-hit stream replays the finished cells (mc_cell only).
+// The deterministic study feeding the sampler coalesces with identical
+// /v1/study traffic and its stages stay in the stage cache, so two MC
+// requests differing only in seed or sample count share one simulation.
 
 // MCStudyRequest is the wire form of a Monte Carlo study query: the
 // study selection plus the sampling knobs of sim.MCConfig, flattened
@@ -181,10 +181,12 @@ func (s *Server) resolveMC(req MCStudyRequest) (sim.Config, []workload.Profile,
 }
 
 // handleStudyMC serves a Monte Carlo lifetime study incrementally as
-// NDJSON. The admission slot is held for the stream's whole duration, so
-// the deterministic study underneath runs through the shared flight group
-// without re-admitting (admit=false) — blocking, streaming, and MC
-// clients all coalesce against each other's simulations.
+// NDJSON through the result memo under the MC key. The leader holds an
+// admission slot while it computes and streams its estimates live; its
+// deterministic study is read through the memo too (without a second
+// slot), so blocking, streaming, MC and batch clients all coalesce against
+// each other's simulations. A follower or a hit replays the finished
+// result's cells.
 func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 	req, err := parseMCStudyRequest(r)
 	if err != nil {
@@ -206,163 +208,50 @@ func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, CodeInternal,
-			errors.New("streaming unsupported by connection"))
-		return
-	}
 	cellsTotal := len(profiles) * len(techs)
 	reqID := obs.RequestIDFrom(r.Context())
 	served := s.now()
 
-	// Whole-result cache hit: replay the cell summaries instantly, no
-	// admission slot.
-	if v, ok := s.cache.Get(mcKey); ok {
+	// The buffer absorbs progress batches while the writer flushes, so a
+	// slow reader rarely stalls the sampling.
+	events := make(chan any, cellsTotal+mcEventBuffer)
+	publish := publisher(r, events)
+	rn := s.mcRun(mcKey, studyKey, true, cfg, profiles, techs, mcfg, nil, func(ev sim.MCEvent) {
+		publish(mcEventWire(ev))
+	})
+	sw, c, v, err := s.serveStream(w, r, rn, events, func(cache string) any {
 		s.metrics.MCStudies.Add(1)
 		s.obs.mcStudies.Inc()
-		res := v.(*sim.MCResult)
-		if s.ledger != nil {
-			rec := s.newRunRecord(r.Context(), "mc", mcKey, cfg, len(profiles),
-				served, obs.ResultHit, nil)
-			rec.Replicas = res.TotalReplicas
-			s.appendRun(rec)
-		}
-		sw := s.newStreamWriter(w, flusher)
-		sw.send(mcMetaEvent{SchemaVersion: SchemaVersion, Event: "meta", RequestID: reqID,
+		return mcMetaEvent{SchemaVersion: SchemaVersion, Event: "meta", RequestID: reqID,
 			Key: mcKey, StudyKey: studyKey, CellsTotal: cellsTotal,
-			Samples: mcfg.Samples, Model: mcfg.Model, Cache: "hit"})
-		for i, c := range res.Cells {
-			sw.send(mcCellEvent{"mc_cell", i + 1, len(res.Cells), i, c})
-		}
-		sw.send(mcResultEvent{"mc", StudyMeta{Key: mcKey, Cache: "hit"}, *res})
+			Samples: mcfg.Samples, Model: mcfg.Model, Cache: cache}
+	})
+	if sw == nil {
 		return
 	}
-
-	// Admit or shed. The slot spans the stream: study plus sampling.
-	select {
-	case s.admission <- struct{}{}:
-		defer func() { <-s.admission }()
-	default:
-		s.writeRetryAfter(w)
-		s.writeError(w, http.StatusTooManyRequests, CodeOverloaded,
-			errors.New("server overloaded, retry later"))
-		return
-	}
-	s.metrics.MCStudies.Add(1)
-	s.obs.mcStudies.Inc()
-	s.logger.Info("mc start", "request_id", reqID, "key", mcKey,
-		"study_key", studyKey, "samples", mcfg.Samples, "model", mcfg.Model)
-
-	// The computation lives under the request context (client disconnect
-	// cancels it) and dies with the server's base context on Close.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	if s.cfg.ComputeTimeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, s.cfg.ComputeTimeout)
-		defer tcancel()
-	}
-	collector := obs.NewCollector(s.cfg.TraceSpanLimit)
-	// The sampler's spans (MC batches, cache traffic) feed the handler's
-	// RunStats; the deterministic study underneath reports its own stats
-	// from the flight, merged below.
-	sinks := []obs.SpanSink{s.obs.sink, collector}
-	var stats *obs.RunStats
-	if s.ledger != nil {
-		stats = obs.NewRunStats()
-		sinks = append(sinks, stats)
-	}
-	ctx = obs.WithTracer(ctx, obs.NewTracer(obs.MultiSink(sinks...)))
-
-	sw := s.newStreamWriter(w, flusher)
-	sw.send(mcMetaEvent{SchemaVersion: SchemaVersion, Event: "meta", RequestID: reqID,
-		Key: mcKey, StudyKey: studyKey, CellsTotal: cellsTotal,
-		Samples: mcfg.Samples, Model: mcfg.Model, Cache: "miss"})
-
-	// Workers publish estimates into a buffered channel so a slow reader
-	// never stalls the sampling; the writer loop below drains it.
-	events := make(chan sim.MCEvent, cellsTotal+mcEventBuffer)
-	done := make(chan struct{})
 	var res *sim.MCResult
-	var flightStats *obs.RunStats
-	var runErr error
-	start := s.now()
-	go func() {
-		defer close(done)
-		// The deterministic study coalesces with any identical in-flight
-		// request; admit=false because this stream already holds a slot.
-		base, _, fstats, err := s.studyFlight(ctx, cfg, profiles, techs, studyKey, false, nil)
-		flightStats = fstats
-		if err != nil {
-			runErr = err
-			return
+	if err == nil {
+		res = v.(*sim.MCResult)
+	}
+	if s.ledger != nil {
+		rec := s.newRunRecord(r.Context(), "mc", mcKey, cfg, len(profiles), served, c.disp, err)
+		c.fill(&rec)
+		if res != nil {
+			rec.Replicas = res.TotalReplicas
 		}
-		res, runErr = sim.MonteCarloStudy(ctx, base, mcfg, sim.MCOptions{
-			Parallelism: s.cfg.Parallelism,
-			Metrics:     s.schedRec,
-			OnEvent: func(ev sim.MCEvent) {
-				select {
-				case events <- ev:
-				case <-ctx.Done():
-				}
-			},
-		})
-	}()
-
-	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev := <-events:
-			sw.send(mcEventWire(ev))
-		case <-heartbeat.C:
-			sw.send(streamHeartbeatEvent{"heartbeat"})
-		case <-done:
-			// The sampler has returned; every OnEvent send has either
-			// landed in the buffer or been abandoned on cancellation.
-			for drained := false; !drained; {
-				select {
-				case ev := <-events:
-					sw.send(mcEventWire(ev))
-				default:
-					drained = true
-				}
-			}
-			if s.ledger != nil {
-				rec := s.newRunRecord(ctx, "mc", mcKey, cfg, len(profiles),
-					start, obs.ResultMiss, runErr)
-				if flightStats != nil {
-					flightStats.Fill(&rec)
-				}
-				stats.Fill(&rec)
-				if res != nil {
-					rec.Replicas = res.TotalReplicas
-				}
-				s.appendRun(rec)
-			}
-			if runErr != nil {
-				s.logger.Warn("mc failed", "request_id", reqID, "key", mcKey,
-					"error", runErr.Error())
-				_, code, msg := s.studyErrorStatus(runErr)
-				sw.send(streamErrorEvent{"error", ErrorBody{Code: code, Message: msg.Error()}})
-				return
-			}
-			s.traces.Add(obs.TraceEntry{
-				Key: mcKey, RequestID: reqID, CapturedAt: s.now(), Spans: collector.Spans()})
-			s.cache.Put(mcKey, res)
-			s.metrics.MCReplicas.Add(int64(res.TotalReplicas))
-			s.obs.mcReplicas.Add(uint64(res.TotalReplicas))
-			meta := StudyMeta{Key: mcKey, Cache: "miss",
-				ComputeMS: float64(s.now().Sub(start)) / float64(time.Millisecond)}
-			s.logger.Info("mc done", "request_id", reqID, "key", mcKey,
-				"replicas", res.TotalReplicas, "compute_ms", meta.ComputeMS)
-			sw.send(mcResultEvent{"mc", meta, *res})
-			return
+		s.appendRun(rec)
+	}
+	if err != nil {
+		_, code, msg := s.studyErrorStatus(err)
+		sw.send(streamErrorEvent{"error", ErrorBody{Code: code, Message: msg.Error()}})
+		return
+	}
+	if c.disp != obs.ResultMiss {
+		for i, cell := range res.Cells {
+			sw.send(mcCellEvent{"mc_cell", i + 1, len(res.Cells), i, cell})
 		}
 	}
+	sw.send(mcResultEvent{"mc", s.studyMeta(mcKey, c, served), *res})
 }
 
 // mcEventWire maps a sampler event to its wire form.

@@ -52,8 +52,8 @@ type serverObs struct {
 	// part of every study's tracer fan-out.
 	sink *obs.MetricsSink
 	// jobSink is the batch executor's span sink: per-job "jobs.run" spans
-	// land in jobLatency, and any pipeline-stage spans emitted under the
-	// job's context still reach the shared stage histogram via sink.
+	// land in jobLatency. A job's pipeline stages run in a memo flight,
+	// whose own tracer feeds sink.
 	jobSink obs.SpanSink
 }
 
@@ -112,7 +112,7 @@ func newServerObs() *serverObs {
 			"Stage-cache operations, by stage, operation, and outcome.", "stage", "op", "outcome"),
 	}
 	o.sink = obs.NewMetricsSink(o.stageLatency)
-	o.jobSink = obs.MultiSink(&jobSpanSink{hist: o.jobLatency}, o.sink)
+	o.jobSink = &jobSpanSink{hist: o.jobLatency}
 	return o
 }
 

@@ -3,17 +3,18 @@
 // studies and lifetime summaries to many concurrent clients without paying
 // a cold simulation per query.
 //
-// Three mechanisms carry the load:
+// Two mechanisms carry the load:
 //
-//   - a content-addressed result cache (LRU + TTL) keyed by the canonical
-//     hash of (Config, profile set, technology nodes) — sim.StudyKey — so a
-//     repeated request is served from memory in microseconds;
-//   - singleflight request coalescing, so N concurrent identical requests
-//     trigger exactly one simulation on the scheduler pool and share its
-//     result;
+//   - one result memo (Cache) for every serving path. Each answer — a study,
+//     a stream, a Monte Carlo study, a batch job — is named by its content
+//     address (sim.StudyKey / sim.MCStudyKey). A key maps either to its
+//     finished value (LRU + TTL), served from memory in microseconds, or to
+//     the one computation of it in flight, which every concurrent identical
+//     request joins and shares. Streaming followers and hits replay the
+//     finished result's cells;
 //   - a bounded admission queue that sheds excess load with 429 +
-//     Retry-After instead of queueing without bound, plus a per-study
-//     compute deadline propagated into sim.RunStudyContext.
+//     Retry-After instead of queueing without bound, plus a per-flight
+//     compute deadline propagated into the simulation.
 //
 // Every request observes the shared sched.Counters, the cache counters,
 // and the request/latency/coalescing metrics exported at /metrics.
@@ -29,7 +30,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/ramp-sim/ramp/internal/core"
@@ -199,7 +199,6 @@ type Server struct {
 	registry   *workload.Registry
 	cache      *Cache
 	stageCache *sim.StageCache
-	flights    *flightGroup
 	metrics    *Metrics
 	obs        *serverObs
 	logger     *slog.Logger
@@ -301,7 +300,6 @@ func New(cfg Config) (*Server, error) {
 		registry:   cfg.Registry,
 		cache:      NewCache(cfg.CacheSize, cfg.CacheTTL, now),
 		stageCache: stageCache,
-		flights:    newFlightGroup(),
 		metrics:    NewMetrics(),
 		obs:        so,
 		logger:     logger,
@@ -338,10 +336,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: job queue: %w", err)
 	}
 	so.bindServer(s)
-	s.flights.onCoalesce = func() {
-		s.metrics.Coalesced.Add(1)
-		so.coalesced.Inc()
-	}
 	s.mux.Handle("/v1/study", s.instrument("/v1/study", s.handleStudy))
 	s.mux.Handle("/v1/study/stream", s.instrument("/v1/study/stream", s.handleStudyStream))
 	s.mux.Handle("/v1/study/mc", s.instrument("/v1/study/mc", s.handleStudyMC))
@@ -838,10 +832,9 @@ func (s *Server) resolve(req StudyRequest) (sim.Config, []workload.Profile, []sc
 	return cfg, profiles, techs, nil
 }
 
-// study returns the result for a request, consulting the cache, then
-// coalescing with any identical in-flight computation, then — as the
-// flight leader — running the simulation under admission control and the
-// compute deadline.
+// study returns the result for a request through the memo; the flight
+// leader runs the simulation under admission control and the compute
+// deadline.
 func (s *Server) study(ctx context.Context, req StudyRequest) (*sim.StudyResult, StudyMeta, error) {
 	cfg, profiles, techs, err := s.resolve(req)
 	if err != nil {
@@ -851,122 +844,18 @@ func (s *Server) study(ctx context.Context, req StudyRequest) (*sim.StudyResult,
 	if err != nil {
 		return nil, StudyMeta{}, err
 	}
-	meta := StudyMeta{Key: key, Cache: "hit"}
 	served := s.now()
-	if v, ok := s.cache.Get(key); ok {
-		if s.ledger != nil {
-			s.appendRun(s.newRunRecord(ctx, "study", key, cfg, len(profiles), served, obs.ResultHit, nil))
-		}
-		return v.(*sim.StudyResult), meta, nil
-	}
-
-	start := s.now()
-	res, coalesced, stats, err := s.studyFlight(ctx, cfg, profiles, techs, key, true, nil)
+	c := s.begin(ctx, s.studyRun(key, true, cfg, profiles, techs, nil))
+	v, err := c.wait(ctx)
 	if s.ledger != nil {
-		rc := obs.ResultMiss
-		if coalesced {
-			rc = obs.ResultCoalesced
-		}
-		rec := s.newRunRecord(ctx, "study", key, cfg, len(profiles), served, rc, err)
-		if stats != nil {
-			stats.Fill(&rec)
-		}
+		rec := s.newRunRecord(ctx, "study", key, cfg, len(profiles), served, c.disp, err)
+		c.fill(&rec)
 		s.appendRun(rec)
 	}
 	if err != nil {
 		return nil, StudyMeta{}, err
 	}
-	meta.Cache = "miss"
-	meta.Coalesced = coalesced
-	meta.ComputeMS = float64(s.now().Sub(start)) / float64(time.Millisecond)
-	return res, meta, nil
-}
-
-// studyFlight coalesces one study computation with any identical
-// in-flight one and, as the flight leader, runs the simulation under the
-// compute deadline. admit selects whether the leader takes an admission
-// slot; callers that already hold one for the life of the call — the MC
-// stream does — or that are bounded elsewhere — batch jobs, by their
-// worker pool — pass false to avoid a self-deadlock on the queue. onApp,
-// when non-nil, receives per-cell completion events if this call leads
-// the flight (followers joined mid-run and see none).
-//
-// When the run ledger is enabled and this call led the flight, the
-// returned RunStats aggregates the computation's spans for the caller's
-// run record; it is nil for followers and cache hits, whose records
-// carry no stage costs because they did no stage work.
-func (s *Server) studyFlight(ctx context.Context, cfg sim.Config, profiles []workload.Profile,
-	techs []scaling.Technology, key string, admit bool,
-	onApp func(sim.AppEvent)) (*sim.StudyResult, bool, *obs.RunStats, error) {
-	// The flight runs detached from the request context, so the leader's
-	// request identity is captured here for the trace entry, the study
-	// log, and re-installed on the flight context so the study span keeps
-	// its trace attribution.
-	reqID := obs.RequestIDFrom(ctx)
-	tc := obs.TraceContextFrom(ctx)
-	start := s.now()
-	// The leader closure runs on the detached flight goroutine and may
-	// still be executing when Do returns early (this caller's ctx
-	// cancelled), so the stats handoff must be atomic. RunStats is
-	// internally synchronized; a partially-filled read under early
-	// return yields whatever costs accrued before the caller gave up.
-	var stats atomic.Pointer[obs.RunStats]
-	v, err, coalesced := s.flights.Do(ctx, s.baseCtx, key, func(fctx context.Context) (any, error) {
-		// Double-check the cache: a flight that completed between our
-		// lookup and this leadership election already has the answer.
-		if v, ok := s.cache.peek(key); ok {
-			return v, nil
-		}
-		if admit {
-			select {
-			case s.admission <- struct{}{}:
-				defer func() { <-s.admission }()
-			default:
-				return nil, errOverloaded
-			}
-		}
-		if s.cfg.ComputeTimeout > 0 {
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(fctx, s.cfg.ComputeTimeout)
-			defer cancel()
-		}
-		s.metrics.Studies.Add(1)
-		s.obs.studies.Inc()
-		s.logger.Info("study start", "request_id", reqID, "key", key)
-		collector := obs.NewCollector(s.cfg.TraceSpanLimit)
-		sinks := []obs.SpanSink{s.obs.sink, collector}
-		if s.ledger != nil {
-			st := obs.NewRunStats()
-			stats.Store(st)
-			sinks = append(sinks, st)
-		}
-		fctx = obs.WithRequestID(fctx, reqID)
-		fctx = obs.WithTraceContext(fctx, tc)
-		fctx = obs.WithTracer(fctx, obs.NewTracer(obs.MultiSink(sinks...)))
-		res, err := s.runStudy(fctx, cfg, profiles, techs, sim.StudyOptions{
-			Parallelism: s.cfg.Parallelism,
-			Metrics:     s.schedRec,
-			Cache:       s.stageCache,
-			OnApp:       onApp,
-		})
-		if err != nil {
-			// Failed runs — deadline exceeded, cancelled, model errors —
-			// are never cached, so a transient failure cannot poison
-			// later requests.
-			s.logger.Warn("study failed", "request_id", reqID, "key", key, "error", err.Error())
-			return nil, err
-		}
-		s.traces.Add(obs.TraceEntry{
-			Key: key, RequestID: reqID, CapturedAt: s.now(), Spans: collector.Spans()})
-		s.logger.Info("study done", "request_id", reqID, "key", key,
-			"compute_ms", float64(s.now().Sub(start))/float64(time.Millisecond))
-		s.cache.Put(key, res)
-		return res, nil
-	})
-	if err != nil {
-		return nil, coalesced, stats.Load(), err
-	}
-	return v.(*sim.StudyResult), coalesced, stats.Load(), nil
+	return v.(*sim.StudyResult), s.studyMeta(key, c, served), nil
 }
 
 // badRequestError marks client-side input errors for status mapping.

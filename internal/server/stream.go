@@ -1,11 +1,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"time"
 
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/report"
@@ -18,17 +15,19 @@ import (
 //	meta      — exactly once, first: schema version, study key, cell
 //	            count, and whether the stream replays a cached result.
 //	app       — one per completed (application × technology) cell, in
-//	            completion order. The cell's RawFIT is uncalibrated;
-//	            apply the final study document's constants.
+//	            completion order; a stream that joined another request's
+//	            computation or hit the result cache replays them from the
+//	            finished result (source "result-cache"). The cell's RawFIT
+//	            is uncalibrated; apply the final study document's constants.
 //	heartbeat — emitted on an idle connection every Config.StreamHeartbeat
 //	            so proxies do not sever long computations.
 //	study     — exactly once on success, last: the same document /v1/study
 //	            returns (with meta), calibrated.
 //	error     — exactly once on failure, last: the standard error body.
 //
-// Closing the connection cancels the underlying computation; stages that
-// already completed stay in the stage cache, so a repeated request resumes
-// rather than restarts.
+// Closing the connection cancels the underlying computation once no other
+// request waits on it; stages that already completed stay in the stage
+// cache, so a repeated request resumes rather than restarts.
 
 // streamMetaEvent opens every stream. RequestID (additive) echoes the
 // X-Request-ID header for log correlation.
@@ -68,14 +67,14 @@ type streamErrorEvent struct {
 	Error ErrorBody `json:"error"`
 }
 
-// streamSourceResultCache labels replayed cells of a whole-study cache hit.
+// streamSourceResultCache labels cells replayed from a finished result.
 const streamSourceResultCache = "result-cache"
 
-// handleStudyStream serves a study incrementally as NDJSON. Admission
-// control is the same bounded queue the blocking endpoints use — the slot
-// is held for the stream's whole duration — and a completed stream warms
-// the same result cache, so blocking and streaming clients coalesce
+// handleStudyStream serves a study incrementally as NDJSON through the
+// result memo, so blocking, streaming, MC and batch clients coalesce
 // against each other's work at both the whole-study and the stage level.
+// The leader streams its cells live and holds an admission slot while it
+// computes; a follower or a hit replays the finished result's cells.
 func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 	req, err := parseStudyRequest(r)
 	if err != nil {
@@ -92,145 +91,43 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, CodeInternal,
-			errors.New("streaming unsupported by connection"))
-		return
-	}
 	cellsTotal := len(profiles) * len(techs)
-
 	reqID := obs.RequestIDFrom(r.Context())
 	served := s.now()
 
-	// Whole-study cache hit: replay the grid instantly, no admission slot.
-	if v, ok := s.cache.Get(key); ok {
+	// The buffer holds every cell, so a slow reader never stalls the
+	// simulation.
+	events := make(chan any, cellsTotal)
+	publish := publisher(r, events)
+	rn := s.studyRun(key, true, cfg, profiles, techs, func(ev sim.AppEvent) {
+		publish(streamAppEvent{"app", ev.CellsDone, ev.CellsTotal, ev.Source, ev.Run})
+	})
+	sw, c, v, err := s.serveStream(w, r, rn, events, func(cache string) any {
 		s.metrics.Streams.Add(1)
 		s.obs.streams.Inc()
-		res := v.(*sim.StudyResult)
-		if s.ledger != nil {
-			s.appendRun(s.newRunRecord(r.Context(), "study.stream", key, cfg,
-				len(profiles), served, obs.ResultHit, nil))
-		}
-		sw := s.newStreamWriter(w, flusher)
-		sw.send(streamMetaEvent{SchemaVersion: SchemaVersion, Event: "meta",
-			RequestID: reqID, Key: key, CellsTotal: cellsTotal, Cache: "hit"})
+		return streamMetaEvent{SchemaVersion: SchemaVersion, Event: "meta",
+			RequestID: reqID, Key: key, CellsTotal: cellsTotal, Cache: cache}
+	})
+	if sw == nil {
+		return
+	}
+	if s.ledger != nil {
+		rec := s.newRunRecord(r.Context(), "study.stream", key, cfg, len(profiles), served, c.disp, err)
+		c.fill(&rec)
+		s.appendRun(rec)
+	}
+	if err != nil {
+		_, code, msg := s.studyErrorStatus(err)
+		sw.send(streamErrorEvent{"error", ErrorBody{Code: code, Message: msg.Error()}})
+		return
+	}
+	res := v.(*sim.StudyResult)
+	if c.disp != obs.ResultMiss {
 		for i, a := range res.Apps {
 			sw.send(streamAppEvent{"app", i + 1, len(res.Apps), streamSourceResultCache, a})
 		}
-		sw.send(streamStudyEvent{"study", StudyMeta{Key: key, Cache: "hit"},
-			report.BuildDocument(res)})
-		return
 	}
-
-	// Admit or shed. The slot spans the whole stream so MaxQueue bounds
-	// streaming and blocking computations together.
-	select {
-	case s.admission <- struct{}{}:
-		defer func() { <-s.admission }()
-	default:
-		s.writeRetryAfter(w)
-		s.writeError(w, http.StatusTooManyRequests, CodeOverloaded,
-			errors.New("server overloaded, retry later"))
-		return
-	}
-	s.metrics.Streams.Add(1)
-	s.obs.streams.Inc()
-	s.metrics.Studies.Add(1)
-	s.obs.studies.Inc()
-	s.logger.Info("stream start", "request_id", reqID, "key", key)
-
-	// The computation lives under the request context (client disconnect
-	// cancels it) and dies with the server's base context on Close.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	if s.cfg.ComputeTimeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, s.cfg.ComputeTimeout)
-		defer tcancel()
-	}
-	collector := obs.NewCollector(s.cfg.TraceSpanLimit)
-	// Streaming runs the study directly (no flight), so its spans feed the
-	// handler's RunStats straight off this context's tracer.
-	sinks := []obs.SpanSink{s.obs.sink, collector}
-	var stats *obs.RunStats
-	if s.ledger != nil {
-		stats = obs.NewRunStats()
-		sinks = append(sinks, stats)
-	}
-	ctx = obs.WithTracer(ctx, obs.NewTracer(obs.MultiSink(sinks...)))
-
-	sw := s.newStreamWriter(w, flusher)
-	sw.send(streamMetaEvent{SchemaVersion: SchemaVersion, Event: "meta",
-		RequestID: reqID, Key: key, CellsTotal: cellsTotal, Cache: "miss"})
-
-	// Workers publish cells into a grid-sized buffer, so a slow reader
-	// never stalls the simulation; the writer loop below drains it.
-	events := make(chan sim.AppEvent, cellsTotal)
-	done := make(chan struct{})
-	var res *sim.StudyResult
-	var runErr error
-	start := s.now()
-	go func() {
-		defer close(done)
-		res, runErr = s.runStudy(ctx, cfg, profiles, techs, sim.StudyOptions{
-			Parallelism: s.cfg.Parallelism,
-			Metrics:     s.schedRec,
-			Cache:       s.stageCache,
-			OnApp: func(ev sim.AppEvent) {
-				select {
-				case events <- ev:
-				case <-ctx.Done():
-				}
-			},
-		})
-	}()
-
-	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev := <-events:
-			sw.send(streamAppEvent{"app", ev.CellsDone, ev.CellsTotal, ev.Source, ev.Run})
-		case <-heartbeat.C:
-			sw.send(streamHeartbeatEvent{"heartbeat"})
-		case <-done:
-			// The study has returned; every OnApp send has either landed
-			// in the buffer or been abandoned on cancellation.
-			for drained := false; !drained; {
-				select {
-				case ev := <-events:
-					sw.send(streamAppEvent{"app", ev.CellsDone, ev.CellsTotal, ev.Source, ev.Run})
-				default:
-					drained = true
-				}
-			}
-			if s.ledger != nil {
-				rec := s.newRunRecord(ctx, "study.stream", key, cfg,
-					len(profiles), start, obs.ResultMiss, runErr)
-				stats.Fill(&rec)
-				s.appendRun(rec)
-			}
-			if runErr != nil {
-				s.logger.Warn("stream failed", "request_id", reqID, "key", key,
-					"error", runErr.Error())
-				_, code, msg := s.studyErrorStatus(runErr)
-				sw.send(streamErrorEvent{"error", ErrorBody{Code: code, Message: msg.Error()}})
-				return
-			}
-			s.traces.Add(obs.TraceEntry{
-				Key: key, RequestID: reqID, CapturedAt: s.now(), Spans: collector.Spans()})
-			s.cache.Put(key, res)
-			meta := StudyMeta{Key: key, Cache: "miss",
-				ComputeMS: float64(s.now().Sub(start)) / float64(time.Millisecond)}
-			s.logger.Info("stream done", "request_id", reqID, "key", key,
-				"compute_ms", meta.ComputeMS)
-			sw.send(streamStudyEvent{"study", meta, report.BuildDocument(res)})
-			return
-		}
-	}
+	sw.send(streamStudyEvent{"study", s.studyMeta(key, c, served), report.BuildDocument(res)})
 }
 
 // streamWriter serialises NDJSON events and flushes after each one. Write

@@ -67,8 +67,8 @@ func (p BatchPlan) Duplicates() int { return len(p.Keys) - len(p.Unique) }
 
 // PlanBatch content-addresses every item and computes the intra-batch
 // dedup mapping. It does not consult any cache: cross-batch and in-flight
-// deduplication belong to the job queue and the singleflight layer, which
-// key on the same hashes.
+// deduplication belong to the job queue and the serving layer's result
+// memo, which key on the same hashes.
 func PlanBatch(items []BatchItem) (BatchPlan, error) {
 	plan := BatchPlan{
 		Keys:  make([]string, len(items)),
