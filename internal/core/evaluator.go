@@ -331,13 +331,13 @@ func (b Breakdown) scale(f float64) Breakdown {
 func (b *Breakdown) add(o Breakdown, w float64) {
 	for s := range b.ByStructMech {
 		for m := range b.ByStructMech[s] {
-			b.ByStructMech[s][m] += o.ByStructMech[s][m] * w
+			b.ByStructMech[s][m] += float64(o.ByStructMech[s][m] * w)
 		}
 	}
 	for name, arr := range o.Extra {
 		acc := b.Extra[name]
 		for s, v := range arr {
-			acc[s] += v * w
+			acc[s] += float64(v * w)
 		}
 		b.setExtra(name, acc)
 	}

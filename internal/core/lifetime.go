@@ -107,8 +107,8 @@ func (l Lognormal) Sample(rng *rand.Rand, mean float64) float64 {
 		return math.NaN()
 	}
 	// mean = exp(µ + σ²/2) → µ = ln(mean) − σ²/2.
-	mu := math.Log(mean) - l.Sigma*l.Sigma/2
-	return math.Exp(mu + l.Sigma*rng.NormFloat64())
+	mu := math.Log(mean) - float64(l.Sigma*l.Sigma/2)
+	return math.Exp(mu + float64(l.Sigma*rng.NormFloat64()))
 }
 
 // Name returns a sigma-qualified label.
@@ -125,7 +125,7 @@ func (l Lognormal) Validate() error {
 // Quantile returns the analytic p-th quantile (0 < p < 1) of the lognormal
 // lifetime with the given mean: exp(µ + σ·Φ⁻¹(p)), µ = ln(mean) − σ²/2.
 func (l Lognormal) Quantile(mean, p float64) float64 {
-	mu := math.Log(mean) - l.Sigma*l.Sigma/2
+	mu := math.Log(mean) - float64(l.Sigma*l.Sigma/2)
 	return math.Exp(mu + l.Sigma*stats.NormalQuantile(p))
 }
 

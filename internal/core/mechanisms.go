@@ -335,7 +335,7 @@ func (p Params) SMRate(tK float64) float64 {
 // tddbTempTerm returns e^{−(X + Y/T + Z·T)/kT}, the FIT-side temperature
 // acceleration of Eq. 3.
 func (p Params) tddbTempTerm(tK float64) float64 {
-	g := (p.TDDB.XEV + p.TDDB.YEVK/tK + p.TDDB.ZEVPerK*tK) / (phys.BoltzmannEV * tK)
+	g := (p.TDDB.XEV + float64(p.TDDB.YEVK/tK) + float64(p.TDDB.ZEVPerK*tK)) / (phys.BoltzmannEV * tK)
 	return math.Exp(-g)
 }
 
@@ -360,7 +360,7 @@ func (p Params) TDDBRate(vddV, tK float64, tech scaling.Technology) float64 {
 	if tK <= 0 || vddV <= 0 {
 		return 0
 	}
-	exponent := p.TDDB.A - p.TDDB.B*tK
+	exponent := p.TDDB.A - float64(p.TDDB.B*tK)
 	dvs := math.Pow(vddV/tech.VddV, exponent)
 	return dvs * p.tddbTempTerm(tK) * p.TDDBTechFactor(tech)
 }
@@ -404,7 +404,7 @@ func (p Params) NBTIRate(af, tK, vddV float64, tech scaling.Technology) float64 
 	} else if af > 1 {
 		af = 1
 	}
-	return rate * (1 - np.RecoveryWeight*af)
+	return rate * (1 - float64(np.RecoveryWeight*af))
 }
 
 // HCIRate returns the hot-carrier injection failure rate (up to
@@ -446,12 +446,12 @@ func (p Params) TCRainflowRate(dieAvgTempK, durUS []float64) float64 {
 		if c.RangeK < rp.MinRangeK {
 			continue
 		}
-		tmax := c.MeanK + c.RangeK/2
+		tmax := c.MeanK + float64(c.RangeK/2)
 		if tmax <= 0 {
 			continue
 		}
-		damage += c.Count * math.Pow(c.RangeK, rp.Q) *
-			math.Exp(-rp.ActivationEnergyEV/(phys.BoltzmannEV*tmax))
+		damage += float64(c.Count * math.Pow(c.RangeK, rp.Q) *
+			math.Exp(-rp.ActivationEnergyEV/(phys.BoltzmannEV*tmax)))
 	}
 	return damage / durS
 }

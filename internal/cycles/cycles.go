@@ -153,11 +153,11 @@ func Analyze(series []float64, durationSeconds float64, p Params) (Summary, erro
 			continue
 		}
 		s.Cycles += c.Count
-		rangeSum += c.RangeK * c.Count
+		rangeSum += float64(c.RangeK * c.Count)
 		if c.RangeK > s.MaxRangeK {
 			s.MaxRangeK = c.RangeK
 		}
-		s.DamageIndex += c.Count * math.Pow(c.RangeK, p.Q)
+		s.DamageIndex += float64(c.Count * math.Pow(c.RangeK, p.Q))
 	}
 	if s.Cycles > 0 {
 		s.MeanRangeK = rangeSum / s.Cycles

@@ -191,8 +191,8 @@ func Run(cfg sim.Config, tr *sim.ActivityTrace, tech scaling.Technology,
 		var blockT [microarch.NumStructures]float64
 		copy(blockT[:], cur.Blocks)
 		fit := eval.Instant(s.AF, blockT, op.VddV, dieAvg)
-		fitSum += fit.Total() * dur
-		freqSum += op.FreqGHz * dur
+		fitSum += float64(fit.Total() * dur)
+		freqSum += float64(op.FreqGHz * dur)
 		totalT += dur
 		res.TimeShare[level] += dur
 		if t := cur.MaxBlock(); t > res.MaxStructTempK {

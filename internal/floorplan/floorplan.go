@@ -27,7 +27,7 @@ type Block struct {
 }
 
 // Area returns the block area in mm².
-func (b Block) Area() float64 { return b.W * b.H }
+func (b Block) Area() float64 { return float64(b.W * b.H) }
 
 // Floorplan is a complete die layout.
 type Floorplan struct {
@@ -84,7 +84,7 @@ func (f Floorplan) Validate() error {
 			}
 		}
 	}
-	if math.Abs(total-f.DieW*f.DieH) > 1e-6*f.DieW*f.DieH {
+	if math.Abs(total-float64(f.DieW*f.DieH)) > 1e-6*f.DieW*f.DieH {
 		return fmt.Errorf("floorplan: blocks cover %.4f mm² of a %.4f mm² die",
 			total, f.DieW*f.DieH)
 	}
@@ -130,8 +130,8 @@ func (f Floorplan) TiledGrid(cols, rows int) (Floorplan, error) {
 			dy := float64(r) * f.DieH
 			for _, b := range f.Blocks {
 				b.Core = r*cols + c
-				b.X += dx
-				b.Y += dy
+				b.X += float64(dx)
+				b.Y += float64(dy)
 				out.Blocks = append(out.Blocks, b)
 			}
 		}
@@ -187,7 +187,7 @@ func (f Floorplan) SharedEdge(a, b int) float64 {
 // at positions a and b, in mm.
 func (f Floorplan) CenterDistance(a, b int) float64 {
 	ba, bb := f.Blocks[a], f.Blocks[b]
-	dx := (ba.X + ba.W/2) - (bb.X + bb.W/2)
-	dy := (ba.Y + ba.H/2) - (bb.Y + bb.H/2)
+	dx := (ba.X + float64(ba.W/2)) - (bb.X + float64(bb.W/2))
+	dy := (ba.Y + float64(ba.H/2)) - (bb.Y + float64(bb.H/2))
 	return math.Hypot(dx, dy)
 }

@@ -60,7 +60,7 @@ func (q *quotas) admit(tenant string, n int, now time.Time) error {
 		q.by[tenant] = b
 	}
 	if q.cfg.JobsPerSecond > 0 {
-		b.tokens += now.Sub(b.last).Seconds() * q.cfg.JobsPerSecond
+		b.tokens += float64(now.Sub(b.last).Seconds() * q.cfg.JobsPerSecond)
 		if max := float64(q.cfg.Burst); b.tokens > max {
 			b.tokens = max
 		}

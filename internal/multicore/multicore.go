@@ -134,11 +134,11 @@ func (r *Result) ChipFIT(consts core.Constants) float64 {
 	var sum float64
 	for i := range r.PerCore {
 		mech := r.PerCore[i].RawFIT.ByMechanism()
-		sum += mech[core.EM]*consts.K[core.EM] +
-			mech[core.SM]*consts.K[core.SM] +
-			mech[core.TDDB]*consts.K[core.TDDB]
+		sum += float64(mech[core.EM]*consts.K[core.EM]) +
+			float64(mech[core.SM]*consts.K[core.SM]) +
+			float64(mech[core.TDDB]*consts.K[core.TDDB])
 	}
-	return sum + r.RawTCFIT*consts.K[core.TC]
+	return sum + float64(r.RawTCFIT*consts.K[core.TC])
 }
 
 // Evaluate runs a CMP simulation: traces[i] initially runs on core i; under
@@ -321,15 +321,15 @@ func EvaluateContext(ctx context.Context, cfg Config, traces []*sim.ActivityTrac
 				blockP[c*microarch.NumStructures+b] = dyn[b] + leak
 				coreP += dyn[b] + leak
 			}
-			sumCoreP[c] += coreP * dur
-			sumPower += coreP * dur
-			sumCoreFreq[c] += freq * dur
+			sumCoreP[c] += float64(coreP * dur)
+			sumPower += float64(coreP * dur)
+			sumCoreFreq[c] += float64(freq * dur)
 			appsSeen[c][traces[assignment[c]].Profile.Name] = true
 		}
 		net.Step(blockP, dur*1e-6)
 		cur = net.Current()
 		dieAvg := net.DieAverage(cur)
-		res.RawTCFIT += params.TCRate(dieAvg) * dur
+		res.RawTCFIT += float64(params.TCRate(dieAvg) * dur)
 		for c := 0; c < cfg.Cores; c++ {
 			s := &traces[assignment[c]].Timing.Samples[iv]
 			vdd, _ := opFor(c)
@@ -344,7 +344,7 @@ func EvaluateContext(ctx context.Context, cfg Config, traces []*sim.ActivityTrac
 			// Per-core DRM: compare the cumulative calibrated non-TC FIT
 			// against the per-core budget at each epoch boundary.
 			if cfg.DRM != nil {
-				drmFit[c] += fit.Calibrated(cfg.DRM.Constants).Total() * dur
+				drmFit[c] += float64(fit.Calibrated(cfg.DRM.Constants).Total() * dur)
 				sinceEpoch[c]++
 				if sinceEpoch[c] >= cfg.DRM.Policy.EpochIntervals {
 					sinceEpoch[c] = 0
@@ -368,12 +368,12 @@ func EvaluateContext(ctx context.Context, cfg Config, traces []*sim.ActivityTrac
 					coreHot = blockT[b]
 				}
 			}
-			sumCoreHot[c] += coreHot * dur
+			sumCoreHot[c] += float64(coreHot * dur)
 		}
 		if t := cur.MaxBlock(); t > res.MaxTempK {
 			res.MaxTempK = t
 		}
-		sumSink += cur.Sink * dur
+		sumSink += float64(cur.Sink * dur)
 		totalT += dur
 	}
 	if totalT == 0 {
@@ -426,7 +426,7 @@ func solveChipOperatingPoint(cfg Config, models []*power.Model, net *thermal.Net
 		for c := 0; c < cfg.Cores; c++ {
 			pm := models[assignment[c]]
 			for b := 0; b < microarch.NumStructures; b++ {
-				leak := pm.LeakageAt(microarch.StructureID(b), temps[c*microarch.NumStructures+b])
+				leak := float64(pm.LeakageAt(microarch.StructureID(b), temps[c*microarch.NumStructures+b]))
 				blockP[c*microarch.NumStructures+b] = coreDyn[c][b] + leak
 				total += coreDyn[c][b] + leak
 			}
@@ -459,7 +459,7 @@ func solveChipOperatingPoint(cfg Config, models []*power.Model, net *thermal.Net
 			if d > maxDelta {
 				maxDelta = d
 			}
-			temps[i] = 0.5*temps[i] + 0.5*next.Blocks[i]
+			temps[i] = float64(0.5*temps[i]) + float64(0.5*next.Blocks[i])
 		}
 		steady = next
 		if maxDelta < 1e-4 {

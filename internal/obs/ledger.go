@@ -176,7 +176,9 @@ func NewRunStats() *RunStats {
 func (r *RunStats) SpanEnded(sp *Span) {
 	switch sp.Name {
 	case SpanTiming:
-		r.observeStage("timing", sp)
+		if !joined(sp) {
+			r.observeStage("timing", sp)
+		}
 	case SpanThermal:
 		r.observeStage("thermal", sp)
 	case SpanFIT:

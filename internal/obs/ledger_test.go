@@ -290,6 +290,7 @@ func TestRunStatsAggregation(t *testing.T) {
 		sp.Finish()
 	}
 	finish(SpanTiming)
+	finish(SpanTiming, Attr{"cache", "joined"}) // billed to the run it joined
 	finish(SpanThermal)
 	finish(SpanThermal)
 	finish(SpanFIT)
@@ -298,6 +299,7 @@ func TestRunStatsAggregation(t *testing.T) {
 	finish(SpanCell, Attr{"source", "cached"})
 	finish(SpanCacheGet, Attr{"stage", "fit"}, Attr{"result", "hit"})
 	finish(SpanCacheGet, Attr{"stage", "fit"}, Attr{"result", "miss"})
+	finish(SpanCacheGet, Attr{"stage", "fit"}, Attr{"result", "joined"})
 	finish(SpanCachePut, Attr{"stage", "fit"}, Attr{"spilled", "true"})
 
 	var rec RunRecord

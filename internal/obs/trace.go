@@ -25,7 +25,9 @@ const (
 	// provenance; the "source" attribute records fit-cache / thermal-cache
 	// / computed.
 	SpanCell = "sim.cell"
-	// SpanTiming wraps one profile's timing simulation.
+	// SpanTiming wraps one profile's timing simulation. Its "cache"
+	// attribute is hit, miss, or joined when the run waited on another
+	// run's simulation of the same key; a joined span bills no stage work.
 	SpanTiming = "sim.timing"
 	// SpanThermal wraps one cell's power+thermal transient.
 	SpanThermal = "sim.thermal"
@@ -37,7 +39,7 @@ const (
 	// and "replicas" attributes).
 	SpanMCBatch = "sim.mc.batch"
 	// SpanCacheGet wraps one stage-cache lookup ("stage" and "result"
-	// attributes).
+	// attributes; result is hit, miss, or joined).
 	SpanCacheGet = "store.get"
 	// SpanCachePut wraps one stage-cache insert.
 	SpanCachePut = "store.put"
@@ -205,6 +207,18 @@ func (s *Span) Attrs() []Attr {
 	return s.attrs
 }
 
+// joined reports whether a stage span waited on another run's computation
+// of its artifact ("cache" attribute "joined"). That run bills the work,
+// so the run ledger and the stage-latency histogram skip the joiner.
+func joined(sp *Span) bool {
+	for _, a := range sp.Attrs() {
+		if a.Key == "cache" {
+			return a.Value == "joined"
+		}
+	}
+	return false
+}
+
 // Duration returns End-Start (zero before End).
 func (s *Span) Duration() time.Duration {
 	if s == nil || s.End.IsZero() {
@@ -314,6 +328,9 @@ func (m *MetricsSink) SpanEnded(sp *Span) {
 	var stage string
 	switch sp.Name {
 	case SpanTiming:
+		if joined(sp) {
+			return
+		}
 		stage = "timing"
 	case SpanThermal:
 		stage = "thermal"

@@ -179,6 +179,10 @@ func TestMetricsSinkObservesStageSpans(t *testing.T) {
 		_, sp := StartSpan(ctx, name)
 		sp.Finish()
 	}
+	// A timing span that joined another run's simulation is not a stage run.
+	_, sp := StartSpan(ctx, SpanTiming)
+	sp.SetAttr("cache", "joined")
+	sp.Finish()
 	for _, stage := range []string{"timing", "thermal", "fit"} {
 		if n := hist.With(stage).Count(); n != 1 {
 			t.Fatalf("stage %s observed %d times, want 1", stage, n)

@@ -205,7 +205,7 @@ func Compress(samples []microarch.ActivitySample, cyclesPerUS int64, opt Options
 		cur.Len = i - cur.Start + 1
 		cur.DurUS += dur
 		for b := range s.AF {
-			afWeighted[b] += s.AF[b] * dur
+			afWeighted[b] += float64(s.AF[b] * dur)
 		}
 	}
 	flush()
@@ -239,7 +239,7 @@ func (p *Plan) assignClasses(eps float64) {
 		c.Count++
 		c.DurUS += ph.DurUS
 		for b := range c.AF {
-			c.AF[b] += ph.AF[b] * ph.DurUS
+			c.AF[b] += float64(ph.AF[b] * ph.DurUS)
 		}
 		if ph.DurUS > p.Phases[c.Rep].DurUS {
 			c.Rep = i
@@ -265,7 +265,7 @@ func (p *Plan) MeanAF() [microarch.NumStructures]float64 {
 	}
 	for _, ph := range p.Phases {
 		for b := range out {
-			out[b] += ph.AF[b] * ph.DurUS
+			out[b] += float64(ph.AF[b] * ph.DurUS)
 		}
 	}
 	for b := range out {

@@ -180,7 +180,7 @@ func (m *Model) Dynamic(af [microarch.NumStructures]float64) [microarch.NumStruc
 			out[i] = 0
 			continue
 		}
-		out[i] = peak * (f + (1-f)*a) * m.dynScale * m.appScale
+		out[i] = peak * (f + float64((1-f)*a)) * m.dynScale * m.appScale
 	}
 	return out
 }
@@ -236,7 +236,7 @@ func (m *Model) LeakageAt(s microarch.StructureID, tK float64) float64 {
 func (m *Model) Total(af, tempK [microarch.NumStructures]float64) (perStruct [microarch.NumStructures]float64, sum float64) {
 	dyn := m.Dynamic(af)
 	for i := range perStruct {
-		perStruct[i] = dyn[i] + m.LeakageAt(microarch.StructureID(i), tempK[i])
+		perStruct[i] = dyn[i] + float64(m.LeakageAt(microarch.StructureID(i), tempK[i]))
 		sum += perStruct[i]
 	}
 	return perStruct, sum

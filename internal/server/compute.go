@@ -10,14 +10,16 @@ import (
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/sim"
+	"github.com/ramp-sim/ramp/internal/store"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
 
 // The one compute path. Every endpoint — /v1/study, /v1/mttf,
 // /v1/study/stream, /v1/study/mc and batch jobs — names its answer by a
-// content address and asks the result memo (Cache) for it through begin.
-// A hit is served at once; a miss leads a detached flight that runs the
-// computation once for every identical request that joins it meanwhile.
+// content address and asks the result memo (Cache, a store.Store) for it
+// through begin. A hit is served at once; a miss leads a detached flight
+// that runs the computation once for every identical request that joins
+// it meanwhile.
 
 // run is one computation served through the memo.
 type run struct {
@@ -34,10 +36,10 @@ type run struct {
 // call is one request's place on a memo key: a finished value (a hit) or
 // a seat in the key's flight.
 type call struct {
-	cache *Cache
-	disp  string // obs.ResultHit, obs.ResultMiss or obs.ResultCoalesced
-	val   any
-	entry *cacheEntry
+	cache  *Cache
+	disp   string // obs.ResultHit, obs.ResultMiss or obs.ResultCoalesced
+	val    any
+	flight *store.Flight[any]
 	// stats aggregates the flight's spans for the leader's run record;
 	// nil for hits, followers, and when the ledger is off.
 	stats atomic.Pointer[obs.RunStats]
@@ -59,7 +61,8 @@ func (s *Server) begin(ctx context.Context, r run) *call {
 	reqID := obs.RequestIDFrom(ctx)
 	tc := obs.TraceContextFrom(ctx)
 	c := &call{cache: s.cache}
-	c.val, c.entry, c.disp = s.cache.join(s.baseCtx, r.key, !nested, func(fctx context.Context) (any, error) {
+	var out string
+	c.val, c.flight, out = s.cache.Join(s.baseCtx, r.key, !nested, func(fctx context.Context) (any, error) {
 		if r.admit {
 			select {
 			case s.admission <- struct{}{}:
@@ -100,9 +103,15 @@ func (s *Server) begin(ctx context.Context, r run) *call {
 			"compute_ms", float64(s.now().Sub(start))/float64(time.Millisecond))
 		return v, nil
 	})
-	if c.disp == obs.ResultCoalesced {
+	switch out {
+	case store.OutcomeHitMem:
+		c.disp = obs.ResultHit
+	case store.OutcomeJoined:
+		c.disp = obs.ResultCoalesced
 		s.metrics.Coalesced.Add(1)
 		s.obs.coalesced.Inc()
+	default:
+		c.disp = obs.ResultMiss
 	}
 	return c
 }
@@ -110,10 +119,10 @@ func (s *Server) begin(ctx context.Context, r run) *call {
 // wait returns the call's value once its flight ends, or ctx's error if
 // ctx ends first.
 func (c *call) wait(ctx context.Context) (any, error) {
-	if c.entry == nil {
+	if c.flight == nil {
 		return c.val, nil
 	}
-	return c.cache.wait(ctx, c.entry)
+	return c.cache.Wait(ctx, c.flight)
 }
 
 // fill adds the leader's stage costs to rec.

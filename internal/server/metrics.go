@@ -172,6 +172,7 @@ func storeSnapshot(s store.Stats) map[string]any {
 		"mem_hits":      s.MemHits,
 		"disk_hits":     s.DiskHits,
 		"misses":        s.Misses,
+		"joined":        s.Joined,
 		"puts":          s.Puts,
 		"evicted":       s.Evicted,
 		"disk_failures": s.DiskFailures,

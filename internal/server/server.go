@@ -905,7 +905,7 @@ func (s *Server) retryAfter() time.Duration {
 		jobLoad = float64(st.Queued) / float64(st.Capacity)
 	}
 	d := base * (1 + 2*admLoad + 2*jobLoad)
-	d *= 0.75 + 0.5*rand.Float64()
+	d *= 0.75 + float64(0.5*rand.Float64())
 	if d < float64(time.Second) {
 		return time.Second
 	}

@@ -42,8 +42,8 @@ const (
 const DefaultMCSamples = 10_000
 
 // defaultMCBatch is the replica-batch size used when MCConfig.BatchSize is
-// 0: large enough that scheduling overhead vanishes against ~100ns/replica
-// sampling cost, small enough to keep progress events flowing.
+// 0: at the 2–3 µs/replica rampbench measures (sim.mc_ns_per_replica) a
+// batch is ~10 ms, so scheduling overhead vanishes and progress flows.
 const defaultMCBatch = 4096
 
 // MCConfig parameterises a Monte Carlo lifetime study.

@@ -340,7 +340,7 @@ func SolveOperatingPoint(pm *power.Model, net *thermal.Network,
 			}
 			// Damped update for stable convergence of the exponential
 			// leakage feedback.
-			temps[i] = 0.5*temps[i] + 0.5*next.Blocks[i]
+			temps[i] = float64(0.5*temps[i]) + float64(0.5*next.Blocks[i])
 		}
 		steady = next
 		if maxDelta < 1e-4 {

@@ -9,7 +9,7 @@ import (
 	"github.com/ramp-sim/ramp/internal/workload"
 )
 
-// StageCacheOptions bounds a StageCache.
+// StageCacheOptions bounds a StageCache's three store.Store memos.
 type StageCacheOptions struct {
 	// MaxEntries bounds each stage's in-memory LRU (default 256 per
 	// stage). Thermal artifacts are the largest — roughly 130 bytes per
@@ -19,15 +19,17 @@ type StageCacheOptions struct {
 	// (Dir/timing, Dir/thermal, Dir/fit) so later processes start warm.
 	Dir string
 	// Observer, when non-nil, receives one store.Event per cache
-	// operation across all three stage stores; Event.Store carries the
-	// stage name ("timing", "thermal", "fit"). It is called from
-	// simulation worker goroutines and must be safe for concurrent use.
+	// operation across all three stage stores (a lookup that joins
+	// another study's running computation has outcome "joined");
+	// Event.Store carries the stage name ("timing", "thermal", "fit"). It
+	// is called from simulation goroutines and must be concurrency-safe.
 	Observer func(store.Event)
 }
 
 // StageCache is the content-addressed artifact cache of the staged study
-// pipeline: one store per stage, keyed by TimingKey / ThermalKey / FITKey.
-// A nil *StageCache disables caching everywhere it is accepted.
+// pipeline: one store.Store memo per stage, keyed by TimingKey /
+// ThermalKey / FITKey, so concurrent studies that miss the same artifact
+// compute it once. A nil *StageCache disables caching where accepted.
 //
 // Consistency is structural: artifacts are only ever inserted complete
 // (a cancelled stage returns an error and stores nothing), and a key
@@ -76,18 +78,19 @@ func (c *StageCache) Stats() StageCacheStats {
 // Cell provenance labels reported through StudyOptions.OnApp: how a
 // completed (profile × technology) cell was produced.
 const (
-	// CellFromFITCache means the finished AppRun was served whole.
+	// CellFromFITCache means the finished AppRun was served whole, stored
+	// or from another study's computation it joined.
 	CellFromFITCache = "fit-cache"
-	// CellFromThermalCache means the thermal series was reused and only
-	// the reliability stage ran.
+	// CellFromThermalCache means the thermal series was reused (or
+	// joined) and only the reliability stage ran.
 	CellFromThermalCache = "thermal-cache"
 	// CellComputed means the thermal (and possibly timing) stage ran.
 	CellComputed = "computed"
 )
 
 // RunTimingCachedContext is RunTimingContext through a stage cache: a hit
-// on the profile's timing key skips the simulation entirely. cache may be
-// nil.
+// on the profile's timing key skips the simulation entirely, and a miss
+// joins a running simulation of the same key. cache may be nil.
 func RunTimingCachedContext(ctx context.Context, cfg Config, prof workload.Profile,
 	cache *StageCache) (*ActivityTrace, error) {
 	ctx, sp := obs.StartSpan(ctx, obs.SpanTiming)
@@ -100,48 +103,48 @@ func RunTimingCachedContext(ctx context.Context, cfg Config, prof workload.Profi
 	if err != nil {
 		return nil, err
 	}
-	if tr, ok := cacheGet(ctx, cache.timing, StageTiming, key); ok {
-		sp.SetAttr("cache", "hit")
-		return tr, nil
-	}
-	sp.SetAttr("cache", "miss")
-	tr, err := RunTimingContext(ctx, cfg, prof)
-	if err != nil {
-		return nil, err
-	}
-	cachePut(ctx, cache.timing, StageTiming, key, tr)
-	return tr, nil
+	tr, out, err := stageDo(ctx, cache.timing, StageTiming, key,
+		func(ctx context.Context) (*ActivityTrace, error) { return RunTimingContext(ctx, cfg, prof) })
+	sp.SetAttr("cache", spanResult(out))
+	return tr, err
 }
 
-// cacheGet wraps one stage-store lookup in a store.get span carrying the
-// stage and its hit/miss result.
-func cacheGet[T any](ctx context.Context, st *store.Store[T], stage, key string) (T, bool) {
-	_, sp := obs.StartSpan(ctx, obs.SpanCacheGet)
-	v, ok := st.Get(key)
-	if sp != nil {
-		sp.SetAttr("stage", stage)
-		if ok {
-			sp.SetAttr("result", "hit")
-		} else {
-			sp.SetAttr("result", "miss")
-		}
-		sp.Finish()
+// stageDo serves key from one stage store through its memo, leading fn on
+// a context detached from ctx's cancellation (it keeps the tracer and
+// request ID), so one study giving up frees only its own wait. It emits a
+// store.get span and, when this caller's flight stored, a store.put span.
+func stageDo[T any](ctx context.Context, st *store.Store[T], stage, key string,
+	fn func(context.Context) (T, error)) (T, string, error) {
+	_, get := obs.StartSpan(ctx, obs.SpanCacheGet)
+	v, f, out := st.Join(context.WithoutCancel(ctx), key, true, fn)
+	if get != nil {
+		get.SetAttr("stage", stage)
+		get.SetAttr("result", spanResult(out))
+		get.Finish()
 	}
-	return v, ok
+	if f == nil {
+		return v, out, nil
+	}
+	v, err := st.Wait(ctx, f)
+	if err == nil && out == store.OutcomeMiss {
+		if _, put := obs.StartSpan(ctx, obs.SpanCachePut); put != nil {
+			put.SetAttr("stage", stage)
+			if f.Stored().Spilled {
+				put.SetAttr("spilled", "true")
+			}
+			put.Finish()
+		}
+	}
+	return v, out, err
 }
 
-// cachePut wraps one stage-store insert in a store.put span carrying the
-// stage and whether the artifact was spilled to disk.
-func cachePut[T any](ctx context.Context, st *store.Store[T], stage, key string, v T) {
-	_, sp := obs.StartSpan(ctx, obs.SpanCachePut)
-	info := st.Put(key, v)
-	if sp != nil {
-		sp.SetAttr("stage", stage)
-		if info.Spilled {
-			sp.SetAttr("spilled", "true")
-		}
-		sp.Finish()
+// spanResult is the span label of a store outcome: both tiers' hits are
+// "hit".
+func spanResult(out string) string {
+	if out == store.OutcomeHitMem || out == store.OutcomeHitDisk {
+		return "hit"
 	}
+	return out
 }
 
 // cellKeys derives both per-cell keys once.

@@ -13,6 +13,7 @@ import (
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/sched"
+	"github.com/ramp-sim/ramp/internal/store"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
 
@@ -48,13 +49,13 @@ type StudyResult struct {
 
 // FIT returns the calibrated failure-rate breakdown for an application run.
 func (r *StudyResult) FIT(a AppRun) core.Breakdown {
-	return applyConstants(a.RawFIT, r.Constants)
+	return a.RawFIT.Calibrated(r.Constants)
 }
 
 // WorstFIT returns the calibrated worst-case breakdown for a technology
 // index.
 func (r *StudyResult) WorstFIT(i int) core.Breakdown {
-	return applyConstants(r.Worst[i].RawFIT, r.Constants)
+	return r.Worst[i].RawFIT.Calibrated(r.Constants)
 }
 
 // AppsAt returns the application runs for one technology index.
@@ -66,11 +67,6 @@ func (r *StudyResult) AppsAt(i int) []AppRun {
 		}
 	}
 	return out
-}
-
-// applyConstants scales a raw breakdown by the per-mechanism calibration.
-func applyConstants(b core.Breakdown, c core.Constants) core.Breakdown {
-	return b.Calibrated(c)
 }
 
 // Stage labels of the study's task graph, as reported through
@@ -469,43 +465,44 @@ func (s *studyRun) cellCached(ctx context.Context, i int, tech scaling.Technolog
 	return run, src, err
 }
 
-// cellResolve is cellCached's uninstrumented body.
+// cellResolve is cellCached's uninstrumented body. A cell whose FIT or
+// thermal artifact another study is computing joins that computation.
 func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technology,
 	produce func(context.Context) (*ThermalSeries, error)) (AppRun, string, error) {
-	var thermalKey, fitKey string
-	if s.cache != nil {
-		var err error
-		thermalKey, fitKey, err = cellKeys(s.cfg, s.profiles[i], tech)
+	if s.cache == nil {
+		ts, err := produce(ctx)
 		if err != nil {
 			return AppRun{}, "", err
 		}
-		if run, ok := cacheGet(ctx, s.cache.fit, "fit", fitKey); ok {
-			return *run, CellFromFITCache, nil
-		}
-		if ts, ok := cacheGet(ctx, s.cache.thermal, "thermal", thermalKey); ok {
-			run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
-			if err != nil {
-				return AppRun{}, "", err
-			}
-			cachePut(ctx, s.cache.fit, "fit", fitKey, &run)
-			return run, CellFromThermalCache, nil
-		}
+		run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
+		return run, CellComputed, err
 	}
-	ts, err := produce(ctx)
+	thermalKey, fitKey, err := cellKeys(s.cfg, s.profiles[i], tech)
 	if err != nil {
 		return AppRun{}, "", err
 	}
-	if s.cache != nil {
-		cachePut(ctx, s.cache.thermal, "thermal", thermalKey, ts)
-	}
-	run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
+	// src is written only by this caller's own FIT flight, which has
+	// ended by the time stageDo returns without error.
+	src := CellFromFITCache
+	run, _, err := stageDo(ctx, s.cache.fit, "fit", fitKey, func(ctx context.Context) (*AppRun, error) {
+		ts, out, err := stageDo(ctx, s.cache.thermal, "thermal", thermalKey, produce)
+		if err != nil {
+			return nil, err
+		}
+		src = CellFromThermalCache
+		if out == store.OutcomeMiss {
+			src = CellComputed
+		}
+		run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
+		if err != nil {
+			return nil, err
+		}
+		return &run, nil
+	})
 	if err != nil {
 		return AppRun{}, "", err
 	}
-	if s.cache != nil {
-		cachePut(ctx, s.cache.fit, "fit", fitKey, &run)
-	}
-	return run, CellComputed, nil
+	return *run, src, nil
 }
 
 // RunTimings executes the timing stage for several profiles on a bounded

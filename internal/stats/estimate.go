@@ -29,7 +29,9 @@ func NormalQuantile(p float64) float64 {
 	case p >= 1:
 		return math.Inf(1)
 	}
-	// Coefficients for the central and tail rational approximations.
+	// Coefficients for the central and tail rational approximations. The
+	// polynomials round every product (float64(...)) so that no
+	// architecture fuses it with the following add (DESIGN §8.4).
 	var (
 		a = [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
 			-2.759285104469687e+02, 1.383577518672690e+02,
@@ -47,17 +49,17 @@ func NormalQuantile(p float64) float64 {
 	switch {
 	case p < plow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return (float64((float64((float64((float64((float64(c[0]*q)+c[1])*q)+c[2])*q)+c[3])*q)+c[4])*q) + c[5]) /
+			(float64((float64((float64((float64(d[0]*q)+d[1])*q)+d[2])*q)+d[3])*q) + 1)
 	case p > phigh:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return -(float64((float64((float64((float64((float64(c[0]*q)+c[1])*q)+c[2])*q)+c[3])*q)+c[4])*q) + c[5]) /
+			(float64((float64((float64((float64(d[0]*q)+d[1])*q)+d[2])*q)+d[3])*q) + 1)
 	default:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		return (float64((float64((float64((float64((float64(a[0]*r)+a[1])*r)+a[2])*r)+a[3])*r)+a[4])*r) + a[5]) * q /
+			(float64((float64((float64((float64((float64(b[0]*r)+b[1])*r)+b[2])*r)+b[3])*r)+b[4])*r) + 1)
 	}
 }
 
@@ -81,8 +83,8 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if lo == hi {
 		return sorted[lo], nil
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	frac := float64(rank) - float64(lo)
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
 }
 
 // PercentileCISorted returns a distribution-free confidence interval for
@@ -104,9 +106,9 @@ func PercentileCISorted(sorted []float64, p, conf float64) (Interval, error) {
 		return Interval{}, fmt.Errorf("stats: confidence level %v outside (0,1)", conf)
 	}
 	q := p / 100
-	z := NormalQuantile(0.5 + conf/2)
-	mean := float64(n) * q
-	half := z * math.Sqrt(float64(n)*q*(1-q))
+	z := NormalQuantile(0.5 + float64(conf/2))
+	mean := float64(float64(n) * q)
+	half := float64(z * math.Sqrt(float64(n)*q*(1-q)))
 	lo := int(math.Floor(mean - half))
 	hi := int(math.Ceil(mean + half))
 	if lo < 0 {
@@ -134,7 +136,7 @@ func MeanCI(mean, sd float64, n int64, conf float64) (Interval, error) {
 	if sd < 0 {
 		return Interval{}, fmt.Errorf("stats: negative standard deviation %v", sd)
 	}
-	z := NormalQuantile(0.5 + conf/2)
+	z := NormalQuantile(0.5 + float64(conf/2))
 	half := z * sd / math.Sqrt(float64(n))
 	return Interval{Lo: mean - half, Hi: mean + half}, nil
 }

@@ -39,7 +39,7 @@ func (r *Running) Add(x float64) {
 	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.m2 += float64(delta * (x - r.mean))
 }
 
 // AddN incorporates the same sample value n times (used when an interval
@@ -148,7 +148,7 @@ func (t *TimeWeighted) Add(value, duration float64) {
 		}
 	}
 	t.n++
-	t.weightedSum += value * duration
+	t.weightedSum += float64(value * duration)
 	t.totalTime += duration
 }
 

@@ -1,23 +1,34 @@
-// Package store is a content-addressed artifact cache for the staged
-// simulation pipeline. Artifacts are keyed by the hex SHA-256 of the
-// canonical encoding of everything that produced them (internal/sim's
-// per-stage keys), so a hit is — by construction — the exact output of the
-// requested computation and no validation beyond the key is needed.
+// Package store is the repository's one memo: a content-addressed map
+// from a key to either the computation of that key in flight or its
+// finished value. Keys are hex digests of the canonical encoding of
+// everything that produced the value (internal/sim's StudyKey and per-stage
+// keys), so a hit is — by construction — the exact output of the requested
+// computation and no validation beyond the key is needed.
 //
-// A Store keeps decoded artifacts in a bounded in-memory LRU and can
-// optionally spill the encoded form to a directory, so a cold process (or
-// a CLI run) restarts with a warm cache. Disk I/O failures degrade to
-// cache misses: the store never fails a lookup or an insert because the
-// spill tier is unhealthy, it only counts the error.
+// Finished values live in a bounded in-memory LRU, with optional TTL
+// expiry, and can optionally spill their encoded form to a directory, so a
+// cold process (or a CLI run) restarts with a warm cache. Disk I/O failures
+// degrade to cache misses: the store never fails a lookup or an insert
+// because the spill tier is unhealthy, it only counts the error.
+//
+// Do (or its two halves, Join and Wait) runs a missing key's computation
+// at most once however many callers ask: later callers join the running
+// flight instead of starting their own. A flight is refcounted by its
+// waiters and cancelled when the last one leaves; it is not on the LRU list,
+// so it is never evicted; and only a success is stored, so a cancelled or
+// failed computation cannot poison the memo. rampd's result memo
+// (server.Cache) and the stage stores of internal/sim are instances.
 package store
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 )
 
 // Options bounds a Store.
@@ -32,12 +43,17 @@ type Options struct {
 	// called without the store lock held, from whatever goroutine performed
 	// the operation, and must be safe for concurrent use.
 	Observer func(Event)
+	// TTL, when positive, expires a memory-tier value that long after it
+	// was stored; an expired value is dropped and looked up as a miss.
+	TTL time.Duration
+	// Now overrides the clock TTL expiry reads (default time.Now).
+	Now func() time.Time
 }
 
 // Event operation and outcome labels.
 const (
 	// OpGet is a lookup; outcomes OutcomeHitMem / OutcomeHitDisk /
-	// OutcomeMiss.
+	// OutcomeMiss / OutcomeJoined.
 	OpGet = "get"
 	// OpPut is an insert; outcome OutcomeOK.
 	OpPut = "put"
@@ -49,8 +65,11 @@ const (
 	OutcomeHitMem  = "hit_mem"
 	OutcomeHitDisk = "hit_disk"
 	OutcomeMiss    = "miss"
-	OutcomeOK      = "ok"
-	OutcomeError   = "error"
+	// OutcomeJoined is a lookup that found the key in flight and waits on
+	// that computation instead of starting its own.
+	OutcomeJoined = "joined"
+	OutcomeOK     = "ok"
+	OutcomeError  = "error"
 )
 
 // Event describes one completed store operation for observability hooks.
@@ -81,26 +100,30 @@ func JSONCodec[T any]() Codec[T] {
 	}
 }
 
-// Stats is a consistent snapshot of a store's counters. MemHits and
-// DiskHits partition successful lookups; a disk hit re-admits the decoded
-// artifact to the memory tier.
+// Stats is a consistent snapshot of a store's counters. MemHits, DiskHits,
+// Misses and Joined partition counted lookups; a disk hit re-admits the
+// decoded artifact to the memory tier.
 type Stats struct {
-	Entries                     int
-	MemHits, DiskHits, Misses   int64
-	Puts, Evicted, DiskFailures int64
+	Entries                           int
+	MemHits, DiskHits, Misses, Joined int64
+	Puts, Evicted, Expired            int64
+	DiskFailures                      int64
 }
 
-// Store is one artifact kind's cache. Create with New; the zero value is
+// Store is one artifact kind's memo. Create with New; the zero value is
 // not usable. All methods are safe for concurrent use.
 //
-// Values are shared between the cache and its callers: treat artifacts as
+// Values are shared between the store and its callers: treat artifacts as
 // immutable after Put.
 type Store[T any] struct {
 	mu      sync.Mutex
 	name    string
 	max     int
-	ll      *list.List // front = most recently used
+	ttl     time.Duration
+	now     func() time.Time
+	ll      *list.List // finished entries, front = most recently used
 	items   map[string]*list.Element
+	flights map[string]*Flight[T]
 	dir     string // "" = memory only
 	codec   Codec[T]
 	stats   Stats
@@ -115,11 +138,36 @@ func (s *Store[T]) event(op, outcome string) {
 	}
 }
 
+// evictEvents emits n eviction events.
+func (s *Store[T]) evictEvents(n int) {
+	for ; n > 0; n-- {
+		s.event(OpEvict, OutcomeOK)
+	}
+}
+
 // entry is one resident artifact.
 type entry[T any] struct {
-	key string
-	val T
+	key     string
+	val     T
+	expires time.Time // zero = no expiry
 }
+
+// Flight is one running computation of a key, shared by every caller
+// that asks for the key while it runs. Its fields are final once done is
+// closed.
+type Flight[T any] struct {
+	key     string
+	done    chan struct{}
+	waiters int // guarded by the store's mu
+	cancel  context.CancelFunc
+	val     T
+	err     error
+	put     PutInfo
+}
+
+// Stored reports what storing the flight's value did. It is valid once a
+// Wait on the flight has returned without error.
+func (f *Flight[T]) Stored() PutInfo { return f.put }
 
 // New returns a store named name (its subdirectory under Options.Dir).
 // codec may be zero-valued when no spill directory is configured.
@@ -131,11 +179,18 @@ func New[T any](name string, opts Options, codec Codec[T]) (*Store[T], error) {
 	if max <= 0 {
 		max = 256
 	}
+	now := opts.Now
+	if now == nil {
+		now = time.Now
+	}
 	s := &Store[T]{
 		name:    name,
 		max:     max,
+		ttl:     opts.TTL,
+		now:     now,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
+		flights: make(map[string]*Flight[T]),
 		codec:   codec,
 		observe: opts.Observer,
 	}
@@ -152,8 +207,8 @@ func New[T any](name string, opts Options, codec Codec[T]) (*Store[T], error) {
 	return s, nil
 }
 
-// validKey rejects keys that could escape the spill directory; stage keys
-// are hex SHA-256 digests, so anything else indicates a caller bug.
+// validKey rejects keys that could escape the spill directory; keys are
+// hex SHA-256 digests, so anything else indicates a caller bug.
 func validKey(key string) bool {
 	if len(key) < 16 {
 		return false
@@ -166,48 +221,175 @@ func validKey(key string) bool {
 	return true
 }
 
-// Get returns the artifact for key, consulting the memory tier then the
-// disk tier. A disk hit decodes the artifact and promotes it to memory.
+// Get returns the finished artifact for key, consulting the memory tier
+// then the disk tier. A disk hit decodes the artifact and promotes it to
+// memory. A key still in flight is a miss.
 func (s *Store[T]) Get(key string) (T, bool) {
-	var zero T
-	if !validKey(key) {
-		return zero, false
-	}
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		s.stats.MemHits++
-		v := el.Value.(*entry[T]).val
-		s.mu.Unlock()
-		s.event(OpGet, OutcomeHitMem)
-		return v, true
-	}
-	dir := s.dir
-	s.mu.Unlock()
+	v, _, out := s.Join(nil, key, true, nil)
+	return v, out == OutcomeHitMem || out == OutcomeHitDisk
+}
 
-	if dir != "" {
-		// Disk read outside the lock: decoding can be slow and must not
-		// serialise unrelated lookups.
-		if b, err := os.ReadFile(s.path(key)); err == nil {
-			if v, err := s.codec.Decode(b); err == nil {
-				s.mu.Lock()
-				s.stats.DiskHits++
-				evicted := s.admitLocked(key, v)
-				s.mu.Unlock()
-				s.event(OpGet, OutcomeHitDisk)
-				for ; evicted > 0; evicted-- {
-					s.event(OpEvict, OutcomeOK)
-				}
-				return v, true
+// Do returns key's value: a finished one from memory or disk, otherwise
+// fn's result, running fn at most once per flight however many callers
+// ask. base parents the flight context handed to fn; ctx only governs
+// this caller's wait. The outcome is OutcomeHitMem or OutcomeHitDisk for a
+// stored value, OutcomeMiss when this caller started the flight, and
+// OutcomeJoined when it joined one already running.
+func (s *Store[T]) Do(ctx, base context.Context, key string,
+	fn func(context.Context) (T, error)) (T, string, error) {
+	v, f, out := s.Join(base, key, true, fn)
+	if f == nil {
+		return v, out, nil
+	}
+	v, err := s.Wait(ctx, f)
+	return v, out, err
+}
+
+// Join is the first half of Do: it returns key's finished value, or the
+// flight this caller now waits on — joined, or started running fn under a
+// context derived from base. A caller given a flight must Wait on it
+// exactly once. count selects whether the lookup counts toward the stats
+// and emits a get event; a nil fn makes Join a plain lookup (Get) that
+// neither joins nor starts a flight. An invalid key is a miss that is
+// never counted, and its flight is never stored.
+func (s *Store[T]) Join(base context.Context, key string, count bool,
+	fn func(context.Context) (T, error)) (v T, f *Flight[T], out string) {
+	valid := validKey(key)
+	evicted := 0
+	s.mu.Lock()
+	out = OutcomeMiss
+	if valid {
+		v, f, out = s.findLocked(key, fn != nil)
+		if out == OutcomeMiss && s.dir != "" {
+			// Disk read outside the lock: decoding can be slow and must
+			// not serialise unrelated lookups. The key may have been
+			// stored or started meanwhile, so a disk miss looks again.
+			s.mu.Unlock()
+			dv, ok := s.readDisk(key)
+			s.mu.Lock()
+			if ok {
+				v, out = dv, OutcomeHitDisk
+				evicted = s.admitLocked(key, dv)
+			} else {
+				v, f, out = s.findLocked(key, fn != nil)
 			}
-			s.noteDiskFailure()
 		}
 	}
-	s.mu.Lock()
-	s.stats.Misses++
+	if out == OutcomeMiss && fn != nil {
+		ctx, cancel := context.WithCancel(base)
+		f = &Flight[T]{key: key, done: make(chan struct{}), waiters: 1, cancel: cancel}
+		if valid {
+			s.flights[key] = f
+		}
+		go s.fly(ctx, f, fn)
+	}
+	count = count && valid
+	if count {
+		switch out {
+		case OutcomeHitMem:
+			s.stats.MemHits++
+		case OutcomeHitDisk:
+			s.stats.DiskHits++
+		case OutcomeJoined:
+			s.stats.Joined++
+		default:
+			s.stats.Misses++
+		}
+	}
 	s.mu.Unlock()
-	s.event(OpGet, OutcomeMiss)
-	return zero, false
+	if count {
+		s.event(OpGet, out)
+	}
+	s.evictEvents(evicted)
+	return v, f, out
+}
+
+// findLocked returns key's live finished value, promoted to most recently
+// used, or — when join is set — its flight with this caller added as a
+// waiter. An expired value is dropped. The caller holds s.mu.
+func (s *Store[T]) findLocked(key string, join bool) (T, *Flight[T], string) {
+	var zero T
+	if el, ok := s.items[key]; ok {
+		e := el.Value.(*entry[T])
+		if e.expires.IsZero() || s.now().Before(e.expires) {
+			s.ll.MoveToFront(el)
+			return e.val, nil, OutcomeHitMem
+		}
+		delete(s.items, key)
+		s.ll.Remove(el)
+		s.stats.Expired++
+	}
+	if f, ok := s.flights[key]; ok && join {
+		f.waiters++
+		return zero, f, OutcomeJoined
+	}
+	return zero, nil, OutcomeMiss
+}
+
+// readDisk decodes key's spilled artifact, counting an unreadable one as
+// a disk failure. Called without s.mu held.
+func (s *Store[T]) readDisk(key string) (T, bool) {
+	var zero T
+	b, err := os.ReadFile(s.path(key))
+	if err != nil {
+		return zero, false
+	}
+	v, err := s.codec.Decode(b)
+	if err != nil {
+		s.noteDiskFailure()
+		return zero, false
+	}
+	return v, true
+}
+
+// fly runs one flight and settles it: a success still attached to its key
+// becomes the key's finished value, a failure frees the key.
+func (s *Store[T]) fly(ctx context.Context, f *Flight[T], fn func(context.Context) (T, error)) {
+	v, err := fn(ctx)
+	f.val, f.err = v, err
+	evicted, stored := 0, false
+	s.mu.Lock()
+	if s.flights[f.key] == f {
+		delete(s.flights, f.key)
+		if err == nil {
+			s.stats.Puts++
+			evicted, stored = s.admitLocked(f.key, v), true
+		}
+	}
+	s.mu.Unlock()
+	if stored {
+		f.put = s.spill(f.key, v, evicted)
+	}
+	close(f.done)
+}
+
+// Wait is the second half of Do: it blocks until the flight ends or ctx is
+// done, then leaves it. The last waiter to leave cancels the flight
+// context — a no-op if fn already returned, an abort if everyone gave up —
+// and detaches a still-running flight from its key, so the next caller
+// starts fresh instead of inheriting a cancelled computation.
+func (s *Store[T]) Wait(ctx context.Context, f *Flight[T]) (T, error) {
+	var v T
+	var err error
+	select {
+	case <-f.done:
+		v, err = f.val, f.err
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f.waiters--; f.waiters == 0 {
+		select {
+		case <-f.done:
+		default:
+			if s.flights[f.key] == f {
+				delete(s.flights, f.key)
+			}
+		}
+		f.cancel()
+	}
+	return v, err
 }
 
 // Contains reports whether key is resident in memory or present on disk,
@@ -246,50 +428,51 @@ type PutInfo struct {
 
 // Put stores the artifact under key in the memory tier and, when spill is
 // configured, writes the encoded form to disk (atomically, via a temp file
-// rename). Re-putting an existing key refreshes its LRU position.
+// rename). Re-putting an existing key refreshes its value, LRU position
+// and TTL; putting a key in flight detaches the flight, whose waiters
+// still receive its own result.
 func (s *Store[T]) Put(key string, v T) PutInfo {
 	if !validKey(key) {
 		return PutInfo{}
 	}
 	s.mu.Lock()
+	delete(s.flights, key)
 	s.stats.Puts++
 	evicted := s.admitLocked(key, v)
-	dir := s.dir
 	s.mu.Unlock()
+	return s.spill(key, v, evicted)
+}
+
+// spill finishes an insert outside the lock: it emits the put and
+// eviction events and writes the disk tier, if any.
+func (s *Store[T]) spill(key string, v T, evicted int) PutInfo {
 	s.event(OpPut, OutcomeOK)
 	info := PutInfo{Evicted: evicted}
-	for ; evicted > 0; evicted-- {
-		s.event(OpEvict, OutcomeOK)
-	}
-
-	if dir == "" {
+	s.evictEvents(evicted)
+	if s.dir == "" {
 		return info
 	}
 	b, err := s.codec.Encode(v)
 	if err != nil {
-		s.noteDiskFailure()
-		s.event(OpSpill, OutcomeError)
+		s.noteSpillFailure()
 		return info
 	}
 	path := s.path(key)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+key[:8]+"-*")
+	tmp, err := os.CreateTemp(s.dir, ".tmp-"+key[:8]+"-*")
 	if err != nil {
-		s.noteDiskFailure()
-		s.event(OpSpill, OutcomeError)
+		s.noteSpillFailure()
 		return info
 	}
 	_, werr := tmp.Write(b)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		s.noteDiskFailure()
-		s.event(OpSpill, OutcomeError)
+		s.noteSpillFailure()
 		return info
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		s.noteDiskFailure()
-		s.event(OpSpill, OutcomeError)
+		s.noteSpillFailure()
 		return info
 	}
 	s.event(OpSpill, OutcomeOK)
@@ -300,18 +483,20 @@ func (s *Store[T]) Put(key string, v T) PutInfo {
 // admitLocked inserts or refreshes a memory-tier entry, returning the
 // number of entries evicted to stay within the bound; caller holds s.mu.
 func (s *Store[T]) admitLocked(key string, v T) int {
+	var expires time.Time
+	if s.ttl > 0 {
+		expires = s.now().Add(s.ttl)
+	}
 	if el, ok := s.items[key]; ok {
-		el.Value.(*entry[T]).val = v
+		e := el.Value.(*entry[T])
+		e.val, e.expires = v, expires
 		s.ll.MoveToFront(el)
 		return 0
 	}
-	s.items[key] = s.ll.PushFront(&entry[T]{key: key, val: v})
+	s.items[key] = s.ll.PushFront(&entry[T]{key: key, val: v, expires: expires})
 	evicted := 0
 	for s.ll.Len() > s.max {
 		oldest := s.ll.Back()
-		if oldest == nil {
-			break
-		}
 		delete(s.items, oldest.Value.(*entry[T]).key)
 		s.ll.Remove(oldest)
 		s.stats.Evicted++
@@ -329,6 +514,11 @@ func (s *Store[T]) noteDiskFailure() {
 	s.mu.Lock()
 	s.stats.DiskFailures++
 	s.mu.Unlock()
+}
+
+func (s *Store[T]) noteSpillFailure() {
+	s.noteDiskFailure()
+	s.event(OpSpill, OutcomeError)
 }
 
 // Len returns the memory-tier entry count.

@@ -258,7 +258,7 @@ func (n *Network) SteadyState(blockPowerW []float64) (State, error) {
 		}
 		if i == n.sink {
 			diag += n.gAmb
-			a[i][n.nNodes] += n.gAmb * n.params.AmbientK
+			a[i][n.nNodes] += float64(n.gAmb * n.params.AmbientK)
 		}
 		a[i][i] = diag
 		if i < n.nBlocks {
@@ -298,7 +298,7 @@ func solve(a [][]float64) ([]float64, error) {
 				continue
 			}
 			for k := col; k <= nn; k++ {
-				a[r][k] -= f * a[col][k]
+				a[r][k] -= float64(f * a[col][k])
 			}
 		}
 	}
@@ -306,7 +306,7 @@ func solve(a [][]float64) ([]float64, error) {
 	for i := nn - 1; i >= 0; i-- {
 		sum := a[i][nn]
 		for j := i + 1; j < nn; j++ {
-			sum -= a[i][j] * x[j]
+			sum -= float64(a[i][j] * x[j])
 		}
 		x[i] = sum / a[i][i]
 	}
@@ -330,11 +330,11 @@ func (n *Network) Step(blockPowerW []float64, dt float64) {
 		ti := n.temps[i]
 		for j := 0; j < n.nNodes; j++ {
 			if gij := gi[j]; gij != 0 {
-				flow += gij * (n.temps[j] - ti)
+				flow += float64(gij * (n.temps[j] - ti))
 			}
 		}
 		if i == n.sink {
-			flow += n.gAmb * (n.params.AmbientK - ti)
+			flow += float64(n.gAmb * (n.params.AmbientK - ti))
 		}
 		if i < n.nBlocks {
 			flow += blockPowerW[i]
@@ -353,11 +353,11 @@ func (n *Network) derivatives(src, dst []float64, blockPowerW []float64) {
 		ti := src[i]
 		for j := 0; j < n.nNodes; j++ {
 			if gij := gi[j]; gij != 0 {
-				flow += gij * (src[j] - ti)
+				flow += float64(gij * (src[j] - ti))
 			}
 		}
 		if i == n.sink {
-			flow += n.gAmb * (n.params.AmbientK - ti)
+			flow += float64(n.gAmb * (n.params.AmbientK - ti))
 		}
 		if i < n.nBlocks {
 			flow += blockPowerW[i]
@@ -386,7 +386,7 @@ func (n *Network) StepHeun(blockPowerW []float64, dt float64) {
 func (n *Network) StepHeunErr(blockPowerW []float64, dt, tolK float64) (errK float64, applied bool) {
 	n.derivatives(n.temps, n.k1, blockPowerW)
 	for i := range n.mid {
-		n.mid[i] = n.temps[i] + dt*n.k1[i]
+		n.mid[i] = n.temps[i] + float64(dt*n.k1[i])
 	}
 	n.derivatives(n.mid, n.k2, blockPowerW)
 	for i := range n.k1 {
@@ -398,7 +398,7 @@ func (n *Network) StepHeunErr(blockPowerW []float64, dt, tolK float64) (errK flo
 		return errK, false
 	}
 	for i := range n.temps {
-		n.temps[i] += dt * (n.k1[i] + n.k2[i]) / 2
+		n.temps[i] += float64(dt * (n.k1[i] + n.k2[i]) / 2)
 	}
 	return errK, true
 }
@@ -426,7 +426,7 @@ func (n *Network) CurrentInto(s *State) {
 func (n *Network) DieAverage(s State) float64 {
 	var sum float64
 	for i, t := range s.Blocks {
-		sum += t * n.areaFrac[i]
+		sum += float64(t * n.areaFrac[i])
 	}
 	return sum
 }

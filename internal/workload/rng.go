@@ -76,7 +76,7 @@ func (r *rng) unit() int64 {
 }
 
 // float64 is Rand.Float64.
-func (r *rng) float64() float64 { return float64(r.unit()) / (1 << 63) }
+func (r *rng) float64() float64 { return float64(float64(r.unit()) / (1 << 63)) }
 
 // intn is Rand.Intn.
 func (r *rng) intn(n int) int {

@@ -304,8 +304,8 @@ func (g *Generator) cutDraws() {
 	}
 	for parity := range g.regionCut {
 		scale := g.phaseScaleAt(int64(parity) * p.PhaseInstrs)
-		warmProb := p.WarmProb * scale
-		coldProb := p.ColdProb * scale
+		warmProb := float64(p.WarmProb * scale)
+		coldProb := float64(p.ColdProb * scale)
 		g.regionCut[parity] = [2]int64{
 			below(func(x float64) bool { return x < coldProb }),
 			below(func(x float64) bool { return x < coldProb+warmProb }),
@@ -480,7 +480,7 @@ func (g *Generator) Skip(n int64) (int64, error) {
 	}
 	// Advance the cold-stream pointer as if the skipped instructions had
 	// issued their expected share of cold accesses (one line each).
-	coldAccesses := float64(n) * (g.prof.Mix.Load + g.prof.Mix.Store) * g.prof.ColdProb
+	coldAccesses := float64(float64(n) * (g.prof.Mix.Load + g.prof.Mix.Store) * g.prof.ColdProb)
 	g.coldPtr += 64 * uint64(coldAccesses)
 	return n, nil
 }
@@ -533,11 +533,11 @@ func (g *Generator) SkipWarm(n int64, w trace.MemWarmer) (int64, error) {
 	// reduction rather than a 64-bit modulo. Thresholds for the two phase
 	// parities are precomputed; built-in profiles have phases off.
 	const unit = 1 << 53
-	memThresh := uint64(memProb * unit)
-	storeThresh := uint64(storeProb * (1 << 11))
+	memThresh := uint64(float64(memProb * unit))
+	storeThresh := uint64(float64(storeProb * (1 << 11)))
 	mkThresh := func(scale float64) (cold, warm uint64) {
-		c := g.prof.ColdProb * scale
-		return uint64(c * unit), uint64((c + g.prof.WarmProb*scale) * unit)
+		c := float64(g.prof.ColdProb * scale)
+		return uint64(float64(c * unit)), uint64(float64((c + float64(g.prof.WarmProb*scale)) * unit))
 	}
 	coldEven, warmEven := mkThresh(g.phaseScaleAt(0))
 	coldOdd, warmOdd := coldEven, warmEven
