@@ -102,7 +102,7 @@ func runCtx(ctx context.Context, out io.Writer, args []string) error {
 	queue := fs.Int("queue", 4, "admission bound: concurrent distinct studies before shedding 429s")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-study compute deadline (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
-	parallelism := fs.Int("parallelism", 0, "scheduler pool bound per study (0 = GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "max cells (or Monte Carlo batches) of one study in progress at once (0 = bounded only by the GOMAXPROCS-slot compute pool)")
 	cacheDir := fs.String("cache-dir", "", "persist stage artifacts (timing/thermal/fit) under this directory")
 	stageCache := fs.Int("stage-cache", 0, "in-memory stage-cache entries per stage (0 = default 256)")
 	heartbeat := fs.Duration("heartbeat", 10*time.Second, "idle heartbeat interval on /v1/study/stream")

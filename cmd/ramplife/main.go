@@ -55,7 +55,7 @@ func runCtx(ctx context.Context, out io.Writer, args []string) error {
 	samples := fs.Int("samples", 50_000, "Monte Carlo trials (mc mode)")
 	budget := fs.Float64("budget", 16_000, "FIT budget (drm mode)")
 	migrate := fs.Int("migrate", 100, "migration period in µs, 0 = static (cmp mode)")
-	parallelism := fs.Int("parallelism", 0, "max concurrent timing runs (0 = GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "max timing runs, study cells or Monte Carlo batches in progress at once (0 = bounded only by the GOMAXPROCS-slot compute pool)")
 	progress := fs.Bool("progress", false, "report per-task progress on stderr")
 	mechanisms := fs.String("mechanisms", "", "comma-separated failure mechanisms (default em,sm,tc,tddb)")
 	if err := fs.Parse(args); err != nil {

@@ -64,7 +64,7 @@ func runCtx(ctx context.Context, out io.Writer, args []string) error {
 	plot := fs.Bool("plot", false, "render figures as ASCII charts instead of tables")
 	jsonOut := fs.Bool("json", false, "emit the full study as a JSON document")
 	scenarioPath := fs.String("scenario", "", "JSON experiment specification (overrides -n/-apps)")
-	parallelism := fs.Int("parallelism", 0, "max concurrent study tasks (0 = GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "max study cells in progress at once (0 = bounded only by the GOMAXPROCS-slot compute pool)")
 	progress := fs.Bool("progress", false, "report per-task study progress on stderr")
 	cacheDir := fs.String("cache-dir", "", "persist stage artifacts under this directory for incremental re-runs")
 	traceOut := fs.String("trace-out", "", "write the study's spans as Chrome trace-event JSON to this file")

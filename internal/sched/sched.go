@@ -1,79 +1,190 @@
-// Package sched is a bounded, cancellable task-graph scheduler. A study is
-// expressed as a directed acyclic graph of named tasks; Run executes it on
-// a fixed-size worker pool (default GOMAXPROCS), starting each task the
-// moment its dependencies finish rather than barriering whole stages. The
-// first task error cancels all outstanding work, panics are recovered into
-// errors, and an optional progress callback reports per-stage completion
-// counters as the graph drains.
+// Package sched is the process's compute pool: a fixed number of slots
+// (Default has GOMAXPROCS of them) that every unit of CPU-bound stage work
+// — a timing run, a thermal transient, a FIT accumulation, a Monte Carlo
+// replica batch — holds while it runs. Callers wait for a slot in arrival
+// order, under their own context, and hold it only while their function
+// runs. Nothing else waits while holding a slot, so a caller blocked on a
+// memo flight (internal/store) holds none, and nested memo lookups cannot
+// deadlock however small the pool.
 //
-// The scheduler adds no synchronisation around task *results*: tasks must
-// write to disjoint storage (typically their own slice slot), which also
-// guarantees that the output is independent of worker count and scheduling
-// order — a property internal/sim's determinism tests pin down.
+// Concurrent studies therefore share one bound: however many are in
+// progress, at most Size slot-holding computations run at once. Each fans
+// a caller's independent calls out over a bounded set of goroutines, with
+// first-error cancellation; Tally turns completions into Progress events.
+// A panic in pool work is recovered into a *PanicError.
+//
+// The package adds no synchronisation around task results: callers write
+// to disjoint storage (typically their own slice slot), which also makes
+// the output independent of slot count and scheduling order — a property
+// internal/sim's determinism tests pin down.
 package sched
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Task is one node of the graph.
-type Task struct {
-	// ID names the task; it must be unique within a graph.
-	ID string
-	// Stage groups tasks for progress reporting (e.g. "timing", "base").
-	// It has no scheduling meaning: only Deps order execution.
-	Stage string
-	// Deps lists the IDs of tasks that must complete before this one runs.
-	Deps []string
-	// Run does the work. It receives a context that is cancelled as soon
-	// as any task fails or the caller's context is cancelled; long-running
-	// tasks should poll it.
-	Run func(ctx context.Context) error
+// Pool is a set of compute slots. Create with NewPool; all methods are safe
+// for concurrent use.
+type Pool struct {
+	size    int
+	mu      sync.Mutex
+	free    int
+	waiters list.List // of chan struct{}, oldest first
 }
 
-// Progress is a snapshot of graph completion, delivered to the callback
-// after each task finishes. Counters are consistent with each other but the
-// callback may observe them out of completion order under parallelism.
-type Progress struct {
-	// Task and Stage identify the task that just finished.
-	Task, Stage string
-	// Err is the task's error, nil on success.
-	Err error
-	// Done and Total count finished and scheduled tasks graph-wide.
-	Done, Total int
-	// StageDone and StageTotal count finished and scheduled tasks within
-	// the finished task's stage.
-	StageDone, StageTotal int
+// NewPool returns a pool of size slots (at least 1).
+func NewPool(size int) *Pool {
+	if size < 1 {
+		size = 1
+	}
+	return &Pool{size: size, free: size}
 }
 
-// Options configures a Run.
-type Options struct {
-	// Parallelism bounds the number of concurrently running tasks.
-	// Values < 1 default to runtime.GOMAXPROCS(0).
-	Parallelism int
-	// OnProgress, when non-nil, is invoked after every task completion
-	// (including failures). It is called from worker goroutines and must
-	// be safe for concurrent use.
-	OnProgress func(Progress)
-	// Metrics, when non-nil, receives task lifecycle events (queued,
-	// started, finished, abandoned). A shared *Counters here gives
-	// long-lived observers — rampd's /metrics, the CLIs — a live view of
-	// queue depth and in-flight work across every concurrent Run.
-	Metrics Recorder
+// Default is the process-wide pool every study and Monte Carlo run shares,
+// sized to GOMAXPROCS at start-up.
+var Default = NewPool(runtime.GOMAXPROCS(0))
+
+// Size returns the pool's slot count.
+func (p *Pool) Size() int { return p.size }
+
+// Run waits for a slot under ctx, runs fn holding it, and releases it. It
+// returns ctx.Err() if ctx ends before a slot is free, and fn's error —
+// a *PanicError if fn panics — otherwise. stage labels the work for the
+// Recorder in ctx (see WithRecorder).
+func (p *Pool) Run(ctx context.Context, stage string, fn func(context.Context) error) error {
+	rec, _ := ctx.Value(recorderKey{}).(Recorder)
+	queueObs, _ := rec.(QueueObserver)
+	stageObs, _ := rec.(StageObserver)
+	var queued time.Time
+	if rec != nil {
+		rec.TaskQueued()
+		if queueObs != nil {
+			queued = time.Now()
+		}
+	}
+	if err := p.acquire(ctx); err != nil {
+		if rec != nil {
+			rec.TaskAbandoned()
+		}
+		return err
+	}
+	defer p.release()
+	if rec == nil {
+		return Protect(stage, func() error { return fn(ctx) })
+	}
+	rec.TaskStarted()
+	var started time.Time
+	if queueObs != nil || stageObs != nil {
+		started = time.Now()
+	}
+	if queueObs != nil {
+		queueObs.TaskQueueWait(stage, started.Sub(queued))
+	}
+	err := Protect(stage, func() error { return fn(ctx) })
+	if stageObs != nil {
+		stageObs.TaskLatency(stage, time.Since(started), err)
+	}
+	rec.TaskFinished(err)
+	return err
 }
 
-// PanicError wraps a panic recovered from a task.
+// acquire takes a slot, queueing behind earlier callers when none is free.
+func (p *Pool) acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	if p.free > 0 && p.waiters.Len() == 0 {
+		p.free--
+		p.mu.Unlock()
+		return nil
+	}
+	ready := make(chan struct{})
+	el := p.waiters.PushBack(ready)
+	p.mu.Unlock()
+	select {
+	case <-ready:
+		return nil
+	case <-ctx.Done():
+		p.mu.Lock()
+		select {
+		case <-ready:
+			// Handed a slot as ctx ended: pass it on.
+			p.mu.Unlock()
+			p.release()
+		default:
+			p.waiters.Remove(el)
+			p.mu.Unlock()
+		}
+		return ctx.Err()
+	}
+}
+
+// release hands the slot to the oldest waiter, or frees it.
+func (p *Pool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if front := p.waiters.Front(); front != nil {
+		close(p.waiters.Remove(front).(chan struct{}))
+		return
+	}
+	p.free++
+}
+
+// Each calls fn(ctx, i) for every i in [0, n), handing indices out in
+// ascending order to at most limit goroutines (limit < 1: n). fn holds no
+// slot; it takes one through Pool.Run for its CPU-bound part. The first
+// error — a *PanicError if fn panics — cancels the context of the calls
+// still running and stops the rest; Each returns it, or ctx.Err() when
+// ctx ended first.
+func Each(ctx context.Context, n, limit int, fn func(ctx context.Context, i int) error) error {
+	if limit < 1 || limit > n {
+		limit = n
+	}
+	parent := ctx
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next  atomic.Int64
+		once  sync.Once
+		first error
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < limit; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := Protect(strconv.Itoa(i), func() error { return fn(ctx, i) }); err != nil {
+					once.Do(func() { first = err; cancel() })
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := parent.Err(); err != nil && (first == nil || errors.Is(first, err)) {
+		return err
+	}
+	return first
+}
+
+// PanicError wraps a panic recovered from pool work or a memo flight.
 type PanicError struct {
-	// Task is the panicking task's ID.
+	// Task names the work that panicked (its stage, index or memo key).
 	Task string
 	// Value is the recovered panic value.
 	Value any
@@ -86,324 +197,79 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sched: task %s panicked: %v", e.Task, e.Value)
 }
 
-// MultiError aggregates the errors of independently failed tasks, ordered
-// by task submission order for reproducible messages.
-type MultiError struct {
-	Errs []error
-}
-
-// Error joins the individual messages.
-func (e *MultiError) Error() string {
-	msgs := make([]string, len(e.Errs))
-	for i, err := range e.Errs {
-		msgs[i] = err.Error()
-	}
-	return fmt.Sprintf("sched: %d tasks failed: %s", len(e.Errs), strings.Join(msgs, "; "))
-}
-
-// Unwrap exposes the individual errors to errors.Is / errors.As.
-func (e *MultiError) Unwrap() []error { return e.Errs }
-
-// Graph accumulates tasks and runs them. The zero value is not usable;
-// create with NewGraph. A Graph is single-use: Run may be called once.
-type Graph struct {
-	tasks []Task
-	index map[string]int
-}
-
-// NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{index: make(map[string]int)}
-}
-
-// Add appends a task, rejecting duplicate or empty IDs and nil Run funcs.
-// Dependencies may name tasks added later; they are resolved at Run.
-func (g *Graph) Add(t Task) error {
-	if t.ID == "" {
-		return errors.New("sched: task needs an ID")
-	}
-	if t.Run == nil {
-		return fmt.Errorf("sched: task %s has no Run func", t.ID)
-	}
-	if _, dup := g.index[t.ID]; dup {
-		return fmt.Errorf("sched: duplicate task %s", t.ID)
-	}
-	g.index[t.ID] = len(g.tasks)
-	g.tasks = append(g.tasks, t)
-	return nil
-}
-
-// MustAdd is Add for programmatically generated, known-unique IDs.
-func (g *Graph) MustAdd(t Task) {
-	if err := g.Add(t); err != nil {
-		panic(err)
-	}
-}
-
-// Len returns the number of tasks added.
-func (g *Graph) Len() int { return len(g.tasks) }
-
-// taskErr pairs an error with the failing task's submission index so the
-// aggregate error is ordered deterministically.
-type taskErr struct {
-	idx int
-	err error
-}
-
-// Run executes the graph and blocks until every task has finished, failed,
-// or been abandoned after cancellation. It returns nil on full success; the
-// single task error if exactly one task failed; a *MultiError if several
-// failed independently; or ctx.Err() if the caller's context was cancelled
-// before any task failed. Secondary context.Canceled errors from tasks
-// interrupted by the first failure are suppressed.
-func (g *Graph) Run(ctx context.Context, opts Options) error {
-	n := len(g.tasks)
-	if n == 0 {
-		return nil
-	}
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// Resolve dependencies into in-degrees and dependent lists.
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		for _, d := range t.Deps {
-			j, ok := g.index[d]
-			if !ok {
-				return fmt.Errorf("sched: task %s depends on unknown task %q", t.ID, d)
-			}
-			if j == i {
-				return fmt.Errorf("sched: task %s depends on itself", t.ID)
-			}
-			indeg[i]++
-			dependents[j] = append(dependents[j], i)
-		}
-	}
-	if err := checkAcyclic(g.tasks, indeg, dependents); err != nil {
-		return err
-	}
-
-	stageTotal := make(map[string]int)
-	for i := range g.tasks {
-		stageTotal[g.tasks[i].Stage]++
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// ready is buffered for the whole graph so completing workers never
-	// block while enqueueing newly unblocked dependents.
-	ready := make(chan int, n)
-	var (
-		mu        sync.Mutex
-		errs      []taskErr
-		done      int
-		stageDone = make(map[string]int, len(stageTotal))
-		// enqueued/started reconcile the Metrics queue gauge after a
-		// cancelled run: tasks sent to ready but never picked up are
-		// reported as abandoned once the workers drain.
-		enqueued, started atomic.Int64
-	)
-	// Task latencies are only timed when the Recorder opts in via
-	// StageObserver, so plain Counters users pay no clock reads; the same
-	// holds for ready-time stamps and QueueObserver.
-	stageObs, _ := opts.Metrics.(StageObserver)
-	queueObs, _ := opts.Metrics.(QueueObserver)
-	var readyAt []time.Time
-	if queueObs != nil {
-		readyAt = make([]time.Time, n)
-	}
-
-	enqueue := func(i int) {
-		if opts.Metrics != nil {
-			enqueued.Add(1)
-			opts.Metrics.TaskQueued()
-		}
-		if readyAt != nil {
-			// The channel send below happens-before the worker's receive,
-			// so the worker reads the stamp race-free.
-			readyAt[i] = time.Now()
-		}
-		ready <- i
-	}
-	for i := range g.tasks {
-		if indeg[i] == 0 {
-			enqueue(i)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case i, ok := <-ready:
-					if !ok {
-						return
-					}
-					if ctx.Err() != nil {
-						return
-					}
-					t := &g.tasks[i]
-					if opts.Metrics != nil {
-						started.Add(1)
-						opts.Metrics.TaskStarted()
-					}
-					if queueObs != nil {
-						queueObs.TaskQueueWait(t.Stage, time.Since(readyAt[i]))
-					}
-					var startedAt time.Time
-					if stageObs != nil {
-						startedAt = time.Now()
-					}
-					err := runTask(ctx, t)
-					if stageObs != nil {
-						stageObs.TaskLatency(t.Stage, time.Since(startedAt), err)
-					}
-					if opts.Metrics != nil {
-						opts.Metrics.TaskFinished(err)
-					}
-
-					mu.Lock()
-					done++
-					stageDone[t.Stage]++
-					if err != nil {
-						errs = append(errs, taskErr{i, err})
-					}
-					p := Progress{
-						Task: t.ID, Stage: t.Stage, Err: err,
-						Done: done, Total: n,
-						StageDone: stageDone[t.Stage], StageTotal: stageTotal[t.Stage],
-					}
-					var unblocked []int
-					if err == nil {
-						for _, d := range dependents[i] {
-							indeg[d]--
-							if indeg[d] == 0 {
-								unblocked = append(unblocked, d)
-							}
-						}
-					}
-					finished := done == n
-					mu.Unlock()
-
-					if err != nil {
-						cancel()
-					}
-					for _, d := range unblocked {
-						enqueue(d)
-					}
-					if opts.OnProgress != nil {
-						opts.OnProgress(p)
-					}
-					if finished {
-						// The final task enqueues nothing, so no sends can
-						// follow; closing releases the idle workers.
-						close(ready)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if opts.Metrics != nil {
-		for k := started.Load(); k < enqueued.Load(); k++ {
-			opts.Metrics.TaskAbandoned()
-		}
-	}
-
-	sort.Slice(errs, func(a, b int) bool { return errs[a].idx < errs[b].idx })
-	var real []error
-	for _, te := range errs {
-		if !errors.Is(te.err, context.Canceled) {
-			real = append(real, fmt.Errorf("%s: %w", g.tasks[te.idx].ID, te.err))
-		}
-	}
-	switch {
-	case len(real) == 1:
-		return real[0]
-	case len(real) > 1:
-		return &MultiError{Errs: real}
-	case parent.Err() != nil:
-		return parent.Err()
-	case len(errs) > 0:
-		// Only context.Canceled task errors without external cancellation:
-		// surface the first rather than swallowing it.
-		return fmt.Errorf("%s: %w", g.tasks[errs[0].idx].ID, errs[0].err)
-	default:
-		return nil
-	}
-}
-
-// runTask invokes the task, converting panics to *PanicError.
-func runTask(ctx context.Context, t *Task) (err error) {
+// Protect runs fn, converting a panic into a *PanicError naming task.
+func Protect(task string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Task: t.ID, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Task: task, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return t.Run(ctx)
+	return fn()
 }
 
-// checkAcyclic runs Kahn's algorithm on a scratch copy of the in-degrees,
-// naming the cycle participants on failure.
-func checkAcyclic(tasks []Task, indeg []int, dependents [][]int) error {
-	deg := make([]int, len(indeg))
-	copy(deg, indeg)
-	queue := make([]int, 0, len(tasks))
-	for i, d := range deg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
+type recorderKey struct{}
+
+// WithRecorder returns ctx carrying rec, which receives the lifecycle
+// events of every Pool.Run under the returned context — including runs
+// inside memo flights it leads, whose contexts keep its values. A nil rec
+// returns ctx unchanged.
+func WithRecorder(ctx context.Context, rec Recorder) context.Context {
+	if rec == nil {
+		return ctx
 	}
-	seen := 0
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, d := range dependents[i] {
-			deg[d]--
-			if deg[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if seen == len(tasks) {
+	return context.WithValue(ctx, recorderKey{}, rec)
+}
+
+// Progress is a snapshot of a run's completion, delivered after each task
+// finishes. Counters are consistent with each other but the callback may
+// observe them out of completion order under parallelism.
+type Progress struct {
+	// Task and Stage identify the task that just finished.
+	Task, Stage string
+	// Err is the task's error, nil on success.
+	Err error
+	// Done and Total count finished and planned tasks run-wide.
+	Done, Total int
+	// StageDone and StageTotal count finished and planned tasks within
+	// the finished task's stage.
+	StageDone, StageTotal int
+}
+
+// Tally counts finished tasks against fixed per-stage totals and reports
+// each to a progress callback. A nil *Tally ignores completions.
+type Tally struct {
+	on         func(Progress)
+	mu         sync.Mutex
+	done       int
+	total      int
+	stageDone  map[string]int
+	stageTotal map[string]int
+}
+
+// NewTally returns a tally over the planned per-stage task counts, or nil
+// when on is nil.
+func NewTally(on func(Progress), totals map[string]int) *Tally {
+	if on == nil {
 		return nil
 	}
-	var cyclic []string
-	for i, d := range deg {
-		if d > 0 {
-			cyclic = append(cyclic, tasks[i].ID)
-		}
+	t := &Tally{on: on, stageDone: make(map[string]int, len(totals)), stageTotal: totals}
+	for _, n := range totals {
+		t.total += n
 	}
-	return fmt.Errorf("sched: dependency cycle through %s", strings.Join(cyclic, ", "))
+	return t
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) as n independent tasks on a
-// bounded pool — the degenerate graph for embarrassingly parallel loops.
-// stage labels the tasks in progress callbacks.
-func Map(ctx context.Context, n int, opts Options, stage string, fn func(ctx context.Context, i int) error) error {
-	g := NewGraph()
-	for i := 0; i < n; i++ {
-		i := i
-		g.MustAdd(Task{
-			ID:    fmt.Sprintf("%s/%d", stage, i),
-			Stage: stage,
-			Run:   func(ctx context.Context) error { return fn(ctx, i) },
-		})
+// Done records one finished task and calls the callback, outside the
+// tally's lock, with the updated counts.
+func (t *Tally) Done(task, stage string, err error) {
+	if t == nil {
+		return
 	}
-	return g.Run(ctx, opts)
+	t.mu.Lock()
+	t.done++
+	t.stageDone[stage]++
+	p := Progress{Task: task, Stage: stage, Err: err, Done: t.done, Total: t.total,
+		StageDone: t.stageDone[stage], StageTotal: t.stageTotal[stage]}
+	t.mu.Unlock()
+	t.on(p)
 }

@@ -5,57 +5,56 @@ import (
 	"time"
 )
 
-// Recorder receives task lifecycle events from a running graph. All methods
-// are called from worker goroutines and must be safe for concurrent use. A
-// single Recorder may be shared by any number of concurrent Runs (rampd
-// attaches one to every study it serves), so implementations should treat
-// the events as global aggregates, not per-graph state.
+// Recorder receives the lifecycle events of pool work (Pool.Run) under a
+// context that carries it (WithRecorder). All methods are called from the
+// working goroutines and must be safe for concurrent use. A single Recorder
+// may be shared by any number of concurrent studies (rampd attaches one to
+// every study it serves), so implementations should treat the events as
+// global aggregates, not per-study state.
 type Recorder interface {
-	// TaskQueued fires when a task becomes ready (its dependencies are
-	// satisfied and it is waiting for a worker).
+	// TaskQueued fires when a caller starts waiting for a pool slot.
 	TaskQueued()
-	// TaskStarted fires when a worker picks the task up and begins Run.
+	// TaskStarted fires when the caller holds its slot and begins work.
 	TaskStarted()
-	// TaskFinished fires when the task's Run returns; err is its error.
+	// TaskFinished fires when the work returns; err is its error.
 	TaskFinished(err error)
-	// TaskAbandoned fires once per task that was queued but never started
-	// because the run was cancelled; it rebalances the queue-depth gauge.
+	// TaskAbandoned fires once per caller whose context ended before it
+	// got a slot; it rebalances the queue-depth gauge.
 	TaskAbandoned()
 }
 
 // StageObserver is an optional Recorder extension: a Recorder that also
 // implements it additionally receives each task's wall-clock latency,
-// labelled by the task's stage. The scheduler only pays for the clock
-// reads when the installed Recorder implements the interface, so plain
-// Counters users (which deliberately do not implement it) are unaffected.
+// labelled by the task's stage. The pool only pays for the clock reads
+// when the installed Recorder implements the interface, so plain Counters
+// users (which deliberately do not implement it) are unaffected.
 type StageObserver interface {
-	// TaskLatency fires after a task's Run returns, with the stage label,
-	// the task's execution duration, and its error (nil on success). It is
-	// called from worker goroutines and must be safe for concurrent use.
+	// TaskLatency fires after a task's work returns, with the stage label,
+	// the time it held its slot, and its error (nil on success). It is
+	// called from working goroutines and must be safe for concurrent use.
 	TaskLatency(stage string, d time.Duration, err error)
 }
 
 // QueueObserver is an optional Recorder extension: a Recorder that also
 // implements it additionally receives each task's queue wait — the time
-// between becoming ready and being picked up by a worker — labelled by
-// the task's stage. Like StageObserver, the scheduler only pays for the
-// ready-time stamps when the installed Recorder implements the
-// interface.
+// between asking for a pool slot and getting it — labelled by the task's
+// stage. Like StageObserver, the pool only pays for the clock reads when
+// the installed Recorder implements the interface.
 type QueueObserver interface {
-	// TaskQueueWait fires when a worker picks a task up, with the stage
-	// label and how long the task sat ready. It is called from worker
-	// goroutines and must be safe for concurrent use.
+	// TaskQueueWait fires when a task gets its slot, with the stage label
+	// and how long it waited. It is called from working goroutines and
+	// must be safe for concurrent use.
 	TaskQueueWait(stage string, d time.Duration)
 }
 
-// Stats is the read side of the scheduler's observability counters: the
+// Stats is the read side of the pool's observability counters: the
 // current queue depth and in-flight gauge plus cumulative completion
 // counters. Both rampd's /metrics endpoint and the CLIs' progress wiring
 // report from this one source.
 type Stats interface {
-	// QueueDepth is the number of ready tasks waiting for a worker.
+	// QueueDepth is the number of tasks awaiting a pool slot.
 	QueueDepth() int64
-	// InFlight is the number of tasks currently executing.
+	// InFlight is the number of pool slots held.
 	InFlight() int64
 	// Completed is the cumulative count of tasks that finished without error.
 	Completed() int64

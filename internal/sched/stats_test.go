@@ -3,27 +3,22 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestCountersLifecycle checks that a successful run settles the gauges to
-// zero and the cumulative counters to the task count.
+// TestCountersLifecycle checks that successful pool work settles the
+// gauges to zero and the cumulative counters to the task count.
 func TestCountersLifecycle(t *testing.T) {
 	c := NewCounters()
-	g := NewGraph()
+	p := NewPool(3)
+	ctx := WithRecorder(context.Background(), c)
 	const n = 8
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("t%d", i)
-		var deps []string
-		if i > 0 {
-			deps = []string{fmt.Sprintf("t%d", i-1)}
-		}
-		g.MustAdd(Task{ID: id, Deps: deps, Run: func(context.Context) error { return nil }})
-	}
-	if err := g.Run(context.Background(), Options{Parallelism: 3, Metrics: c}); err != nil {
+	err := Each(ctx, n, 0, func(ctx context.Context, _ int) error {
+		return p.Run(ctx, "stage", func(context.Context) error { return nil })
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.QueueDepth(); got != 0 {
@@ -40,48 +35,68 @@ func TestCountersLifecycle(t *testing.T) {
 	}
 }
 
-// TestCountersFailureAndAbandonment checks that a failing graph counts the
-// failure and rebalances the queue gauge for tasks that never ran.
+// TestCountersFailureAndAbandonment checks that a failing task counts as
+// failed and that callers cancelled while awaiting a slot are counted out
+// of the queue gauge without ever starting.
 func TestCountersFailureAndAbandonment(t *testing.T) {
 	c := NewCounters()
-	g := NewGraph()
+	p := NewPool(1)
+	ctx := WithRecorder(context.Background(), c)
 	boom := errors.New("boom")
-	g.MustAdd(Task{ID: "fail", Run: func(context.Context) error { return boom }})
-	// A long dependent chain behind the failure: never started.
-	for i := 0; i < 5; i++ {
-		id := fmt.Sprintf("after%d", i)
-		dep := "fail"
-		if i > 0 {
-			dep = fmt.Sprintf("after%d", i-1)
-		}
-		g.MustAdd(Task{ID: id, Deps: []string{dep}, Run: func(context.Context) error { return nil }})
+	release := make(chan struct{})
+	holder := hold(ctx, p, release, boom)
+
+	waitCtx, cancel := context.WithCancel(ctx)
+	const waiters = 5
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Run(waitCtx, "after", func(context.Context) error { return nil }); !errors.Is(err, context.Canceled) {
+				t.Errorf("abandoned caller: got %v, want context.Canceled", err)
+			}
+		}()
 	}
-	if err := g.Run(context.Background(), Options{Parallelism: 2, Metrics: c}); !errors.Is(err, boom) {
-		t.Fatalf("Run error = %v, want %v", err, boom)
+	awaitWaiters(t, p, waiters)
+	if got := c.QueueDepth(); got != waiters {
+		t.Errorf("queue depth with %d waiters = %d", waiters, got)
+	}
+	cancel()
+	wg.Wait()
+	close(release)
+	if err := <-holder; !errors.Is(err, boom) {
+		t.Fatalf("holder error = %v, want %v", err, boom)
 	}
 	if got := c.Failed(); got != 1 {
 		t.Errorf("failed = %d, want 1", got)
 	}
+	if got := c.Completed(); got != 0 {
+		t.Errorf("completed = %d, want 0", got)
+	}
 	if got := c.QueueDepth(); got != 0 {
-		t.Errorf("queue depth after failed run = %d, want 0", got)
+		t.Errorf("queue depth after abandonment = %d, want 0", got)
 	}
 	if got := c.InFlight(); got != 0 {
-		t.Errorf("in-flight after failed run = %d, want 0", got)
+		t.Errorf("in-flight after the failure = %d, want 0", got)
 	}
 }
 
-// TestCountersSharedAcrossRuns runs several graphs concurrently against one
-// Counters (the rampd usage pattern) and checks the aggregate.
+// TestCountersSharedAcrossRuns runs several fan-outs concurrently against
+// one Counters (the rampd usage pattern) and checks the aggregate.
 func TestCountersSharedAcrossRuns(t *testing.T) {
 	c := NewCounters()
+	p := NewPool(2)
+	ctx := WithRecorder(context.Background(), c)
 	const runs, tasks = 6, 10
 	var wg sync.WaitGroup
 	for r := 0; r < runs; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := Map(context.Background(), tasks, Options{Parallelism: 2, Metrics: c}, "stage",
-				func(context.Context, int) error { return nil })
+			err := Each(ctx, tasks, 2, func(ctx context.Context, _ int) error {
+				return p.Run(ctx, "stage", func(context.Context) error { return nil })
+			})
 			if err != nil {
 				t.Error(err)
 			}
@@ -114,14 +129,17 @@ func (q *queueWaitRecorder) TaskQueueWait(stage string, d time.Duration) {
 }
 
 // TestQueueWaitObserved: a Recorder implementing QueueObserver receives
-// one non-negative queue wait per executed task, labelled by stage; plain
-// Counters (which deliberately does not implement it) still works, which
-// TestCountersLifecycle already covers.
+// one non-negative queue wait per task that got a slot, labelled by
+// stage; plain Counters (which deliberately does not implement it) still
+// works, which TestCountersLifecycle already covers.
 func TestQueueWaitObserved(t *testing.T) {
 	rec := &queueWaitRecorder{Counters: NewCounters()}
+	p := NewPool(3)
+	ctx := WithRecorder(context.Background(), rec)
 	const tasks = 12
-	err := Map(context.Background(), tasks, Options{Parallelism: 3, Metrics: rec}, "fit",
-		func(context.Context, int) error { return nil })
+	err := Each(ctx, tasks, 0, func(ctx context.Context, _ int) error {
+		return p.Run(ctx, "fit", func(context.Context) error { return nil })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ type Metrics struct {
 	Shed expvar.Int
 	// InFlightHTTP gauges currently executing HTTP requests.
 	InFlightHTTP expvar.Int
-	// Studies counts simulations actually started on the scheduler pool.
+	// Studies counts simulations actually started on the compute pool.
 	Studies expvar.Int
 	// Streams counts /v1/study/stream responses that began streaming
 	// (cache replays included; admission rejections excluded).
@@ -75,7 +75,7 @@ func (m *Metrics) ObserveLatency(d time.Duration) {
 	m.Latency.Add("overflow", 1)
 }
 
-// Snapshot flattens the metrics — plus the cache, scheduler, and
+// Snapshot flattens the metrics — plus the cache, compute-pool, and
 // stage-cache views — to a JSON-marshalable map, the /metrics payload.
 // ratio fields are computed at snapshot time so readers need no
 // client-side arithmetic.

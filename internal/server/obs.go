@@ -12,7 +12,7 @@ import (
 // serverObs is the server's obs.Registry instrument set: everything
 // /metrics?format=prometheus exposes. Push-style instruments (counters,
 // histograms) are updated on the hot paths; pre-existing stat sources
-// (result cache, scheduler counters, stage cache) are bridged at scrape
+// (result cache, compute-pool counters, stage cache) are bridged at scrape
 // time so their state is never double-counted.
 type serverObs struct {
 	reg *obs.Registry
@@ -41,9 +41,9 @@ type serverObs struct {
 
 	// Pipeline-stage latency (timing|thermal|fit), fed by the span sink.
 	stageLatency *obs.HistogramVec // ramp_stage_duration_seconds{stage}
-	// Scheduler-task latency, fed by the sched.StageObserver hook.
+	// Compute-pool task latency, fed by the sched.StageObserver hook.
 	schedLatency *obs.HistogramVec // ramp_sched_task_duration_seconds{stage}
-	// Scheduler ready-queue wait, fed by the sched.QueueObserver hook.
+	// Compute-pool slot wait, fed by the sched.QueueObserver hook.
 	queueWait *obs.HistogramVec // ramp_sched_queue_wait_seconds{stage}
 	// Stage-cache operations, fed by the store observer.
 	cacheOps *obs.CounterVec // ramp_stage_cache_ops_total{stage,op,outcome}
@@ -93,7 +93,7 @@ func newServerObs() *serverObs {
 		streamEvents:  reg.CounterVec("ramp_stream_events_total", "NDJSON stream events sent, by event type.", "event"),
 		coalesced:     reg.Counter("ramp_coalesced_requests_total", "Requests that joined an identical in-flight study."),
 		shed:          reg.Counter("ramp_shed_requests_total", "Requests shed with 429 by the admission queue."),
-		studies:       reg.Counter("ramp_studies_started_total", "Studies started on the scheduler pool."),
+		studies:       reg.Counter("ramp_studies_started_total", "Studies started on the compute pool."),
 		streams:       reg.Counter("ramp_streams_started_total", "NDJSON study streams that began streaming."),
 		mcStudies:     reg.Counter("ramp_mc_studies_total", "Monte Carlo study streams that began streaming."),
 		mcReplicas:    reg.Counter("ramp_mc_replicas_total", "Monte Carlo lifetime replicas drawn by completed studies."),
@@ -105,9 +105,9 @@ func newServerObs() *serverObs {
 		stageLatency: reg.HistogramVec("ramp_stage_duration_seconds",
 			"Simulation pipeline stage latency in seconds, by stage (timing|thermal|fit).", nil, "stage"),
 		schedLatency: reg.HistogramVec("ramp_sched_task_duration_seconds",
-			"Scheduler task latency in seconds, by task stage.", nil, "stage"),
+			"Time compute-pool tasks held their slot in seconds, by task stage.", nil, "stage"),
 		queueWait: reg.HistogramVec("ramp_sched_queue_wait_seconds",
-			"Time scheduler tasks spent ready but waiting for a worker, by task stage.", nil, "stage"),
+			"Time compute-pool tasks spent awaiting a slot in seconds, by task stage.", nil, "stage"),
 		cacheOps: reg.CounterVec("ramp_stage_cache_ops_total",
 			"Stage-cache operations, by stage, operation, and outcome.", "stage", "op", "outcome"),
 	}
@@ -127,13 +127,13 @@ func (o *serverObs) storeObserver(ev store.Event) {
 // exposition; nothing is sampled into intermediate state.
 func (o *serverObs) bindServer(s *Server) {
 	reg := o.reg
-	reg.GaugeFunc("ramp_sched_queue_depth", "Scheduler tasks ready and waiting for a worker.", nil,
+	reg.GaugeFunc("ramp_sched_queue_depth", "Compute-pool slots awaited.", nil,
 		func() float64 { return float64(s.schedStats.QueueDepth()) })
-	reg.GaugeFunc("ramp_sched_inflight_tasks", "Scheduler tasks currently executing.", nil,
+	reg.GaugeFunc("ramp_sched_inflight_tasks", "Compute-pool slots held.", nil,
 		func() float64 { return float64(s.schedStats.InFlight()) })
-	reg.CounterFunc("ramp_sched_tasks_completed_total", "Scheduler tasks finished without error.", nil,
+	reg.CounterFunc("ramp_sched_tasks_completed_total", "Compute-pool tasks finished without error.", nil,
 		func() float64 { return float64(s.schedStats.Completed()) })
-	reg.CounterFunc("ramp_sched_tasks_failed_total", "Scheduler tasks finished with an error.", nil,
+	reg.CounterFunc("ramp_sched_tasks_failed_total", "Compute-pool tasks finished with an error.", nil,
 		func() float64 { return float64(s.schedStats.Failed()) })
 
 	reg.GaugeFunc("ramp_result_cache_entries", "Resident whole-study results.", nil,
@@ -201,9 +201,10 @@ func (o *serverObs) bindServer(s *Server) {
 		func() float64 { return float64(s.jobs.Stats().Failed) })
 }
 
-// schedRecorder is the server's sched.Recorder: the shared atomic counters
-// plus the per-stage task-latency histogram via the optional
-// sched.StageObserver extension.
+// schedRecorder is the server's sched.Recorder for the compute pool: the
+// shared atomic counters plus the per-stage slot-hold and slot-wait
+// histograms via the optional sched.StageObserver and sched.QueueObserver
+// extensions.
 type schedRecorder struct {
 	*sched.Counters
 	latency   *obs.HistogramVec

@@ -123,7 +123,9 @@ type Config struct {
 	ComputeTimeout time.Duration
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// Parallelism bounds each study's scheduler pool (0 = GOMAXPROCS).
+	// Parallelism bounds how many of one study's cells, or one Monte Carlo
+	// study's replica batches, are in progress at once (0: only the
+	// process-wide compute pool of GOMAXPROCS slots bounds them).
 	Parallelism int
 	// CacheDir, when non-empty, spills the stage cache's artifacts
 	// (timing traces, thermal series, finished cells) to disk so a
@@ -360,7 +362,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the server's counters (read-only use).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// SchedStats exposes the shared scheduler counters.
+// SchedStats exposes the shared compute-pool counters.
 func (s *Server) SchedStats() sched.Stats { return s.schedStats }
 
 // BeginDrain flips /readyz to 503 so load balancers stop routing new

@@ -152,8 +152,14 @@ func ThermalKey(cfg Config, prof workload.Profile, tech scaling.Technology) (str
 	if err != nil {
 		return "", err
 	}
+	return thermalKeyFrom(cfg, tk, tech)
+}
+
+// thermalKeyFrom derives a cell's thermal key from its profile's timing
+// key, so a study hashes each profile once however many cells it has.
+func thermalKeyFrom(cfg Config, timingKey string, tech scaling.Technology) (string, error) {
 	return hashKey(thermalStageInputs{
-		TimingKey: tk,
+		TimingKey: timingKey,
 		Power:     cfg.Power,
 		Thermal:   cfg.Thermal,
 		Calibrate: cfg.CalibrateAppPower,
@@ -180,20 +186,19 @@ type fitStageInputs struct {
 	Mechanisms  []string    `json:"mechanisms,omitempty"`
 }
 
-// fitInputsFor assembles the reliability-stage key inputs for a config,
-// canonicalising the mechanism list. Shared by FITKey and cellKeys so the
-// two derivations cannot drift.
-func fitInputsFor(cfg Config, thermalKey string) (fitStageInputs, error) {
+// fitKeyFrom derives a cell's reliability key from its thermal key,
+// canonicalising the mechanism list.
+func fitKeyFrom(cfg Config, thermalKey string) (string, error) {
 	canon, err := core.CanonicalMechanismNames(cfg.Mechanisms)
 	if err != nil {
-		return fitStageInputs{}, fmt.Errorf("sim: %w", err)
+		return "", fmt.Errorf("sim: %w", err)
 	}
-	return fitStageInputs{
+	return hashKey(fitStageInputs{
 		ThermalKey:  thermalKey,
 		RAMP:        cfg.RAMP,
 		RecordTrace: cfg.RecordThermalTrace,
 		Mechanisms:  canon,
-	}, nil
+	})
 }
 
 // FITKey returns the content-addressed key of the reliability stage for
@@ -203,9 +208,5 @@ func FITKey(cfg Config, prof workload.Profile, tech scaling.Technology) (string,
 	if err != nil {
 		return "", err
 	}
-	in, err := fitInputsFor(cfg, tk)
-	if err != nil {
-		return "", err
-	}
-	return hashKey(in)
+	return fitKeyFrom(cfg, tk)
 }

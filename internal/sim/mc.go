@@ -21,7 +21,7 @@ import (
 // assumption by drawing thousands of wear-out lifetime replicas per cell
 // and reporting percentile + confidence-interval summaries instead of the
 // paper's point MTTFs. Replicas are embarrassingly parallel: they fan out
-// in batches across the bounded scheduler, and every replica derives its
+// in batches over the process-wide compute pool, and every replica derives its
 // own splittable RNG stream from (root seed, cell, replica), so the result
 // is byte-identical at any parallelism and any batch size.
 
@@ -182,7 +182,7 @@ type MCResult struct {
 }
 
 // MCEvent is one progress or completion event of a running Monte Carlo
-// study, delivered through MCOptions.OnEvent from worker goroutines.
+// study, delivered through MCOptions.OnEvent from the study's goroutines.
 type MCEvent struct {
 	// Cell is the running estimate (Final false, summarising the replicas
 	// drawn so far) or the final summary (Final true) for one grid cell.
@@ -198,16 +198,19 @@ type MCEvent struct {
 // MCOptions tunes the execution of a Monte Carlo study without affecting
 // its numerics.
 type MCOptions struct {
-	// Parallelism bounds concurrently running replica batches; values < 1
-	// default to runtime.GOMAXPROCS(0).
+	// Parallelism bounds how many replica batches of this study are in
+	// progress at once; values < 1 leave the bound to the process-wide
+	// compute pool (sched.Default, GOMAXPROCS slots), where every batch
+	// runs.
 	Parallelism int
 	// OnProgress, when non-nil, receives a completion event per replica
-	// batch (stage StageMC). Called from worker goroutines.
+	// batch (stage StageMC). Called from the study's goroutines.
 	OnProgress func(sched.Progress)
-	// Metrics, when non-nil, receives scheduler lifecycle events.
+	// Metrics, when non-nil, receives the compute pool's lifecycle events
+	// for the study's batches.
 	Metrics sched.Recorder
 	// OnEvent, when non-nil, receives incremental percentile/CI estimates
-	// as batches land and a final event per cell. Called from worker
+	// as batches land and a final event per cell. Called from the study's
 	// goroutines; must be safe for concurrent use. Estimates cost an extra
 	// sort per batch, so leave nil when only the final result matters.
 	OnEvent func(MCEvent)
@@ -251,8 +254,9 @@ type mcCellState struct {
 // MonteCarloStudy draws the Monte Carlo lifetime distribution for every
 // cell of a finished study. The study grid supplies each cell's calibrated
 // FIT breakdown — typically replayed from the stage cache, so replicas pay
-// only the sampling cost. Replicas fan out in batches across a bounded
-// scheduler; results are byte-identical for any Parallelism and any
+// only the sampling cost. Replicas fan out in fixed-size batches, each
+// holding a slot of the process-wide compute pool while it samples;
+// results are byte-identical for any Parallelism and any
 // BatchSize because each replica's RNG stream depends only on (Seed, cell,
 // replica).
 func MonteCarloStudy(ctx context.Context, res *StudyResult, mcfg MCConfig, opts MCOptions) (*MCResult, error) {
@@ -297,26 +301,35 @@ func MonteCarloStudy(ctx context.Context, res *StudyResult, mcfg MCConfig, opts 
 	out := make([]MCCell, nCells)
 	var cellsDone atomic.Int64
 
-	run := func(ctx context.Context, start, end int) error {
-		rr := core.NewReplicaRand()
-		for f := start; f < end; {
-			ci := f / samples
-			r0 := f % samples
-			r1 := r0 + (end - f)
-			if r1 > samples {
-				r1 = samples
-			}
-			if err := sampleSegment(ctx, rr, samplers[ci], mcfg.Seed, ci, r0, r1, cells[ci].lifetimes); err != nil {
-				return err
-			}
-			finishSegment(res, mcfg, &cells[ci], ci, r0, r1, breakdowns, out, &cellsDone, nCells, opts.OnEvent)
-			f += r1 - r0
-		}
-		return nil
+	// Fixed-size chunks of the replica index space, so the partition
+	// depends only on Samples and BatchSize, never on parallelism.
+	total, batch := nCells*samples, mcfg.BatchSize
+	chunks := (total + batch - 1) / batch
+	limit := opts.Parallelism
+	if limit < 1 {
+		limit = sched.Default.Size()
 	}
-	err = sched.MapChunks(ctx, nCells*samples, mcfg.BatchSize,
-		sched.Options{Parallelism: opts.Parallelism, OnProgress: opts.OnProgress, Metrics: opts.Metrics},
-		StageMC, run)
+	progress := sched.NewTally(opts.OnProgress, map[string]int{StageMC: chunks})
+	ctx = sched.WithRecorder(ctx, opts.Metrics)
+	err = sched.Each(ctx, chunks, limit, func(ctx context.Context, k int) error {
+		start, end := k*batch, min((k+1)*batch, total)
+		err := sched.Default.Run(ctx, StageMC, func(ctx context.Context) error {
+			rr := core.NewReplicaRand()
+			for f := start; f < end; {
+				ci := f / samples
+				r0 := f % samples
+				r1 := min(r0+(end-f), samples)
+				if err := sampleSegment(ctx, rr, samplers[ci], mcfg.Seed, ci, r0, r1, cells[ci].lifetimes); err != nil {
+					return err
+				}
+				finishSegment(res, mcfg, &cells[ci], ci, r0, r1, breakdowns, out, &cellsDone, nCells, opts.OnEvent)
+				f += r1 - r0
+			}
+			return nil
+		})
+		progress.Done(fmt.Sprintf("%s/%d-%d", StageMC, start, end), StageMC, err)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

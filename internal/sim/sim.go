@@ -6,6 +6,16 @@
 // RAMP failure-rate accumulation, including the reliability-qualification
 // calibration of §4.4 and the worst-case ("max") operating-point analysis
 // of §5.2.
+//
+// A study runs as demand on the stage memos of a StageCache: each
+// (profile × technology) cell asks for its FIT artifact, whose computation
+// asks for the cell's thermal series, whose computation asks for the
+// profile's timing trace, so concurrent studies share and join each
+// other's stage work. The CPU-bound steps — timing runs, thermal
+// transients, FIT accumulation, Monte Carlo batches — each hold a slot of
+// the process-wide compute pool (internal/sched) while they run, so
+// however many studies are in progress at most GOMAXPROCS of those steps
+// run at once.
 package sim
 
 import (

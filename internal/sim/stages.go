@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/ramp-sim/ramp/internal/obs"
-	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/store"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
@@ -90,21 +89,33 @@ const (
 
 // RunTimingCachedContext is RunTimingContext through a stage cache: a hit
 // on the profile's timing key skips the simulation entirely, and a miss
-// joins a running simulation of the same key. cache may be nil.
+// joins a running simulation of the same key. The simulation holds a slot
+// of the process-wide compute pool. cache may be nil.
 func RunTimingCachedContext(ctx context.Context, cfg Config, prof workload.Profile,
 	cache *StageCache) (*ActivityTrace, error) {
+	return timingStage(ctx, cfg, prof, cache, func() (string, error) { return TimingKey(cfg, prof) })
+}
+
+// timingStage is RunTimingCachedContext with the timing key supplied by
+// the caller, which a study derives once per profile.
+func timingStage(ctx context.Context, cfg Config, prof workload.Profile, cache *StageCache,
+	key func() (string, error)) (*ActivityTrace, error) {
 	ctx, sp := obs.StartSpan(ctx, obs.SpanTiming)
 	sp.SetAttr("app", prof.Name)
 	defer sp.Finish()
-	if cache == nil {
-		return RunTimingContext(ctx, cfg, prof)
+	run := func(ctx context.Context) (*ActivityTrace, error) {
+		return leaf(ctx, StageTiming, func(ctx context.Context) (*ActivityTrace, error) {
+			return RunTimingContext(ctx, cfg, prof)
+		})
 	}
-	key, err := TimingKey(cfg, prof)
+	if cache == nil {
+		return run(ctx)
+	}
+	k, err := key()
 	if err != nil {
 		return nil, err
 	}
-	tr, out, err := stageDo(ctx, cache.timing, StageTiming, key,
-		func(ctx context.Context) (*ActivityTrace, error) { return RunTimingContext(ctx, cfg, prof) })
+	tr, out, err := stageDo(ctx, cache.timing, StageTiming, k, run)
 	sp.SetAttr("cache", spanResult(out))
 	return tr, err
 }
@@ -145,18 +156,4 @@ func spanResult(out string) string {
 		return "hit"
 	}
 	return out
-}
-
-// cellKeys derives both per-cell keys once.
-func cellKeys(cfg Config, prof workload.Profile, tech scaling.Technology) (thermalKey, fitKey string, err error) {
-	thermalKey, err = ThermalKey(cfg, prof, tech)
-	if err != nil {
-		return "", "", err
-	}
-	in, err := fitInputsFor(cfg, thermalKey)
-	if err != nil {
-		return "", "", err
-	}
-	fitKey, err = hashKey(in)
-	return thermalKey, fitKey, err
 }

@@ -69,8 +69,8 @@ func (r *StudyResult) AppsAt(i int) []AppRun {
 	return out
 }
 
-// Stage labels of the study's task graph, as reported through
-// StudyOptions.OnProgress.
+// Stage labels of a study's work, as reported through
+// StudyOptions.OnProgress and to the compute pool's Recorder.
 const (
 	// StageTiming is the per-profile timing simulation.
 	StageTiming = "timing"
@@ -88,16 +88,21 @@ const (
 // numerics: any parallelism — and any stage-cache state — produces
 // bit-identical results.
 type StudyOptions struct {
-	// Parallelism bounds the number of concurrently evaluated tasks;
-	// values < 1 default to runtime.GOMAXPROCS(0).
+	// Parallelism bounds how many of the study's (profile × technology)
+	// cells are in progress at once. Values < 1 leave the bound to the
+	// process-wide compute pool (sched.Default, GOMAXPROCS slots), which
+	// runs the CPU-bound work of every study in the process.
 	Parallelism int
-	// OnProgress, when non-nil, receives a completion event per finished
-	// task. It is called from worker goroutines and must be safe for
-	// concurrent use.
+	// OnProgress, when non-nil, receives one completion event per task:
+	// a timing and a base event per profile when its base cell lands, a
+	// scaled event per other cell, one qualify event and one worst event
+	// per technology. It is called from the study's goroutines and must
+	// be safe for concurrent use.
 	OnProgress func(sched.Progress)
-	// Metrics, when non-nil, receives scheduler lifecycle events. A
-	// shared *sched.Counters lets a long-lived observer (rampd's /metrics)
-	// track queue depth and in-flight tasks across concurrent studies.
+	// Metrics, when non-nil, receives the compute pool's lifecycle events
+	// for the study's work. A shared *sched.Counters lets a long-lived
+	// observer (rampd's /metrics) track slots awaited and held across
+	// concurrent studies.
 	Metrics sched.Recorder
 	// Cache, when non-nil, memoises the study's stages content-addressed:
 	// timing per profile, thermal series per (profile × technology), and
@@ -109,8 +114,8 @@ type StudyOptions struct {
 	// OnApp, when non-nil, receives each completed (profile × technology)
 	// cell the moment it lands, long before the whole grid finishes —
 	// the streaming hook behind Runner.StreamStudy and rampd's
-	// /v1/study/stream. It is called from worker goroutines and must be
-	// safe for concurrent use.
+	// /v1/study/stream. It is called from the study's goroutines and must
+	// be safe for concurrent use.
 	OnApp func(AppEvent)
 }
 
@@ -140,11 +145,15 @@ func RunStudy(cfg Config, profiles []workload.Profile, techs []scaling.Technolog
 }
 
 // RunStudyContext is RunStudy with cancellation, bounded parallelism, and
-// progress reporting. The study runs as a dependency graph on a worker
-// pool: a profile's scaled-technology evaluations start the moment its own
-// base calibration finishes instead of waiting for the slowest profile of
-// each stage. Cancelling ctx aborts outstanding work promptly and returns
-// ctx.Err(); the first task failure cancels the rest of the study.
+// progress reporting. The study runs as demand: each (profile ×
+// technology) cell asks for its FIT artifact, whose computation asks for
+// the cell's thermal series, whose computation asks for the profile's
+// timing trace. Every base cell is started before any scaled cell, and a
+// profile's scaled cells start the moment its own base cell lands, not
+// when the slowest profile's does. The CPU-bound steps run on the
+// process-wide compute pool. Cancelling ctx aborts outstanding work
+// promptly and returns ctx.Err(); the first cell failure cancels the rest
+// of the study.
 func RunStudyContext(ctx context.Context, cfg Config, profiles []workload.Profile,
 	techs []scaling.Technology, opts StudyOptions) (*StudyResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -181,277 +190,225 @@ func RunStudyContext(ctx context.Context, cfg Config, profiles []workload.Profil
 		}
 		defer studySpan.Finish()
 	}
+	ctx = sched.WithRecorder(ctx, opts.Metrics)
 
-	// Task results land in index-addressed slots, so the assembled result
-	// is identical for every parallelism level and scheduling order.
-	n := len(profiles)
+	n, nt := len(profiles), len(techs)
+	traces, err := store.New("trace", store.Options{MaxEntries: n}, store.Codec[*ActivityTrace]{})
+	if err != nil {
+		return nil, err
+	}
 	s := &studyRun{
 		cfg:        cfg,
 		profiles:   profiles,
 		techs:      techs,
 		cache:      opts.Cache,
 		onApp:      opts.OnApp,
-		cellsTotal: n * len(techs),
-		traces:     make([]*ActivityTrace, n),
-		traceMu:    make([]sync.Mutex, n),
-		baseRuns:   make([]AppRun, n),
-		scales:     make([]float64, n),
-		scaled:     make([][]AppRun, len(techs)), // scaled[ti][i], ti >= 1
+		timingKeys: make([]func() (string, error), n),
+		traces:     traces,
+		baseDone:   make([]chan struct{}, n),
+		apps:       make([]AppRun, n*nt),
+		progress: sched.NewTally(opts.OnProgress, map[string]int{
+			StageTiming: n, StageBase: n, StageScaled: n * (nt - 1), StageQualify: 1, StageWorst: nt,
+		}),
 	}
-	for ti := 1; ti < len(techs); ti++ {
-		s.scaled[ti] = make([]AppRun, n)
-	}
-	worst := make([]WorstCase, len(techs))
-	var consts core.Constants
-
-	timingID := func(i int) string { return fmt.Sprintf("%s/%d/%s", StageTiming, i, profiles[i].Name) }
-	baseID := func(i int) string { return fmt.Sprintf("%s/%d/%s", StageBase, i, profiles[i].Name) }
-	scaledID := func(i, ti int) string {
-		return fmt.Sprintf("%s/%d/%s@%s", StageScaled, i, profiles[i].Name, techs[ti].Name)
-	}
-	baseIDs := make([]string, n)
-	for i := range profiles {
-		baseIDs[i] = baseID(i)
+	for i, prof := range profiles {
+		s.timingKeys[i] = sync.OnceValues(func() (string, error) { return TimingKey(cfg, prof) })
+		s.baseDone[i] = make(chan struct{})
 	}
 
-	g := sched.NewGraph()
-	for i := range profiles {
-		i := i
-		g.MustAdd(sched.Task{
-			ID:    timingID(i),
-			Stage: StageTiming,
-			Run: func(ctx context.Context) error {
-				// With a warm stage cache a profile whose every cell is
-				// resolvable from downstream artifacts never needs its
-				// trace — the most expensive stage is skipped outright.
-				if s.cache != nil && !s.profileNeedsTrace(i) {
-					return nil
-				}
-				_, err := s.ensureTrace(ctx, i)
-				return err
-			},
-		})
-		g.MustAdd(sched.Task{
-			ID:    baseIDs[i],
-			Stage: StageBase,
-			Deps:  []string{timingID(i)},
-			Run: func(ctx context.Context) error {
-				run, src, err := s.cellBase(ctx, i)
-				if err != nil {
-					return fmt.Errorf("sim: base eval %s: %w", profiles[i].Name, err)
-				}
-				s.baseRuns[i], s.scales[i] = run, run.AppPowerScale
-				s.emit(run, src)
-				return nil
-			},
-		})
-		for ti := 1; ti < len(techs); ti++ {
-			i, ti := i, ti
-			tech := techs[ti]
-			g.MustAdd(sched.Task{
-				ID:    scaledID(i, ti),
-				Stage: StageScaled,
-				Deps:  []string{baseIDs[i]},
-				Run: func(ctx context.Context) error {
-					run, src, err := s.cellScaled(ctx, i, ti)
-					if err != nil {
-						return fmt.Errorf("sim: %s @ %s: %w", profiles[i].Name, tech.Name, err)
-					}
-					s.scaled[ti][i] = run
-					s.emit(run, src)
-					return nil
-				},
-			})
-		}
-	}
-
-	// Reliability qualification at the base point (§4.4) needs every base
-	// run, but nothing downstream waits on it: scaled evaluations proceed
-	// concurrently and the constants are only attached at assembly. The
-	// solve runs over the configured mechanism set by name; for the
-	// default four the per-name accumulation and per-name division are the
-	// same operations in the same order as the historical fixed-array
-	// solve, so the constants are bit-identical.
-	g.MustAdd(sched.Task{
-		ID:    StageQualify,
-		Stage: StageQualify,
-		Deps:  baseIDs,
-		Run: func(ctx context.Context) error {
-			set, err := cfg.MechanismSet()
-			if err != nil {
-				return err
-			}
-			names := set.Names()
-			rawAvg := make(map[string]float64, len(names))
-			for i := range s.baseRuns {
-				mech := s.baseRuns[i].RawFIT.FITByName()
-				for _, nm := range names {
-					rawAvg[nm] += mech[nm] / float64(n)
-				}
-			}
-			c, err := core.CalibrateSet(names, rawAvg, cfg.QualFITPerMechanism)
-			if err != nil {
-				return fmt.Errorf("sim: qualification: %w", err)
-			}
-			consts = c
-			return nil
-		},
-	})
-
-	for ti := range techs {
-		ti := ti
-		tech := techs[ti]
-		deps := baseIDs
-		if ti > 0 {
-			deps = make([]string, n)
-			for i := range profiles {
-				deps[i] = scaledID(i, ti)
-			}
-		}
-		g.MustAdd(sched.Task{
-			ID:    fmt.Sprintf("%s/%d/%s", StageWorst, ti, tech.Name),
-			Stage: StageWorst,
-			Deps:  deps,
-			Run: func(ctx context.Context) error {
-				runs := s.baseRuns
-				if ti > 0 {
-					runs = s.scaled[ti]
-				}
-				wc, err := worstCaseFor(cfg, runs, tech)
-				if err != nil {
-					return err
-				}
-				worst[ti] = wc
-				return nil
-			},
-		})
-	}
-
-	if err := g.Run(ctx, sched.Options{
-		Parallelism: opts.Parallelism,
-		OnProgress:  opts.OnProgress,
-		Metrics:     opts.Metrics,
-	}); err != nil {
+	// Cells are handed out in grid order, every base cell before any
+	// scaled one, so the base cell a scaled cell waits for is always
+	// already in progress, whatever the parallelism.
+	if err := sched.Each(ctx, n*nt, opts.Parallelism, s.cell); err != nil {
 		return nil, err
 	}
 
-	result := &StudyResult{
-		Config:    cfg,
-		Techs:     techs,
-		Constants: consts,
-		Apps:      make([]AppRun, 0, n*len(techs)),
-		Worst:     worst,
+	// Reliability qualification at the base point (§4.4) over the
+	// configured mechanism set by name; for the default four the per-name
+	// accumulation and division are the same operations in the same order
+	// as the historical fixed-array solve, so the constants are
+	// bit-identical.
+	consts, err := leaf(ctx, StageQualify, func(context.Context) (core.Constants, error) {
+		return qualify(cfg, s.apps[:n])
+	})
+	s.progress.Done(StageQualify, StageQualify, err)
+	if err != nil {
+		return nil, err
 	}
-	result.Apps = append(result.Apps, s.baseRuns...)
-	for ti := 1; ti < len(techs); ti++ {
-		result.Apps = append(result.Apps, s.scaled[ti]...)
+	worst := make([]WorstCase, nt)
+	for ti, tech := range techs {
+		worst[ti], err = leaf(ctx, StageWorst, func(context.Context) (WorstCase, error) {
+			return worstCaseFor(cfg, s.apps[ti*n:(ti+1)*n], tech)
+		})
+		s.progress.Done(fmt.Sprintf("%s/%d/%s", StageWorst, ti, tech.Name), StageWorst, err)
+		if err != nil {
+			return nil, err
+		}
 	}
-	return result, nil
+	return &StudyResult{Config: cfg, Techs: techs, Constants: consts, Apps: s.apps, Worst: worst}, nil
 }
 
-// studyRun is the shared mutable state of one executing study: the
-// index-addressed result slots the tasks write into, plus the stage-cache
-// plumbing and the streaming hook.
+// qualify solves the reliability-qualification constants from the base
+// cells' raw FIT.
+func qualify(cfg Config, baseRuns []AppRun) (core.Constants, error) {
+	set, err := cfg.MechanismSet()
+	if err != nil {
+		return core.Constants{}, err
+	}
+	names := set.Names()
+	rawAvg := make(map[string]float64, len(names))
+	for i := range baseRuns {
+		mech := baseRuns[i].RawFIT.FITByName()
+		for _, nm := range names {
+			rawAvg[nm] += mech[nm] / float64(len(baseRuns))
+		}
+	}
+	c, err := core.CalibrateSet(names, rawAvg, cfg.QualFITPerMechanism)
+	if err != nil {
+		return core.Constants{}, fmt.Errorf("sim: qualification: %w", err)
+	}
+	return c, nil
+}
+
+// leaf runs fn holding one slot of the process-wide compute pool, under
+// the stage label stage.
+func leaf[T any](ctx context.Context, stage string, fn func(context.Context) (T, error)) (T, error) {
+	var v T
+	err := sched.Default.Run(ctx, stage, func(ctx context.Context) (err error) {
+		v, err = fn(ctx)
+		return err
+	})
+	return v, err
+}
+
+// studyRun is the shared state of one executing study: the grid's
+// index-addressed result slots, the per-profile timing keys and traces,
+// and the progress and streaming hooks.
 type studyRun struct {
 	cfg      Config
 	profiles []workload.Profile
 	techs    []scaling.Technology
 	cache    *StageCache
 	onApp    func(AppEvent)
+	progress *sched.Tally
 
-	traces  []*ActivityTrace
-	traceMu []sync.Mutex // per-profile: serialises lazy trace materialisation
+	// timingKeys[i] hashes profile i's timing inputs once per study;
+	// every cell key of the profile derives from it.
+	timingKeys []func() (string, error)
+	// traces resolves each profile's activity trace at most once per
+	// study, keyed by traceKey (see trace).
+	traces *store.Store[*ActivityTrace]
+	// baseDone[i] is closed once profile i's base cell is in apps.
+	baseDone []chan struct{}
+	// apps[ti*n+i] is cell (profile i × technology ti): StudyResult.Apps.
+	apps []AppRun
 
-	baseRuns []AppRun
-	scales   []float64
-	scaled   [][]AppRun // scaled[ti][i], ti >= 1
+	cellsDone atomic.Int64
+}
 
-	cellsDone  atomic.Int64
-	cellsTotal int
+// cell produces grid cell c — technology c/n, profile c%n — into its slot.
+// A scaled cell first waits for its profile's base cell: its heat-sink
+// temperature is held at the base value (§4.3) and its dynamic power uses
+// the base cell's solved scale.
+func (s *studyRun) cell(ctx context.Context, c int) error {
+	n := len(s.profiles)
+	i, ti := c%n, c/n
+	prof, tech := s.profiles[i], s.techs[ti]
+	stage, what := StageBase, "base eval "+prof.Name
+	thermal := func(ctx context.Context, tr *ActivityTrace) (*ThermalSeries, error) {
+		return evaluateBaseThermal(ctx, s.cfg, tr, prof)
+	}
+	if ti > 0 {
+		select {
+		case <-s.baseDone[i]:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		base := s.apps[i]
+		stage, what = StageScaled, prof.Name+" @ "+tech.Name
+		thermal = func(ctx context.Context, tr *ActivityTrace) (*ThermalSeries, error) {
+			return RunThermalContext(ctx, s.cfg, tr, tech, base.SinkTempK, base.AppPowerScale)
+		}
+	}
+	run, src, err := s.cellCached(ctx, i, tech, stage, thermal)
+	if err != nil {
+		err = fmt.Errorf("sim: %s: %w", what, err)
+		s.report(stage, i, ti, err)
+		return err
+	}
+	s.apps[c] = run
+	if ti == 0 {
+		close(s.baseDone[i])
+	}
+	s.emit(run, src)
+	if ti == 0 {
+		s.report(StageTiming, i, ti, nil)
+	}
+	s.report(stage, i, ti, nil)
+	return nil
+}
+
+// report records one finished task of profile i with the progress tally,
+// named as stage/index/profile[@tech].
+func (s *studyRun) report(stage string, i, ti int, err error) {
+	id := fmt.Sprintf("%s/%d/%s", stage, i, s.profiles[i].Name)
+	if stage == StageScaled {
+		id += "@" + s.techs[ti].Name
+	}
+	s.progress.Done(id, stage, err)
 }
 
 // emit delivers one finished cell to the streaming hook.
 func (s *studyRun) emit(run AppRun, src string) {
 	done := int(s.cellsDone.Add(1))
 	if s.onApp != nil {
-		s.onApp(AppEvent{Run: run, Source: src, CellsDone: done, CellsTotal: s.cellsTotal})
+		s.onApp(AppEvent{Run: run, Source: src, CellsDone: done, CellsTotal: len(s.apps)})
 	}
 }
 
-// ensureTrace returns profile i's activity trace, materialising it at
-// most once per study (through the stage cache when one is configured).
-// Cell tasks call it lazily, so a cache eviction between planning and
-// execution degrades to recomputation, never to an error.
-func (s *studyRun) ensureTrace(ctx context.Context, i int) (*ActivityTrace, error) {
-	s.traceMu[i].Lock()
-	defer s.traceMu[i].Unlock()
-	if s.traces[i] != nil {
-		return s.traces[i], nil
-	}
-	tr, err := RunTimingCachedContext(ctx, s.cfg, s.profiles[i], s.cache)
+// trace returns profile i's activity trace through the study's trace
+// memo: the cells that need it share one resolution, which is cancelled
+// only when every one of them has left, and a failed resolution is not
+// kept, so the next cell to ask starts afresh. A cell whose FIT or
+// thermal artifact is cached never asks, so a profile whose every cell is
+// cached never runs — or looks up — its timing stage.
+func (s *studyRun) trace(ctx context.Context, i int) (*ActivityTrace, error) {
+	prof := s.profiles[i]
+	tr, _, err := s.traces.Do(ctx, context.WithoutCancel(ctx), traceKey(i),
+		func(ctx context.Context) (*ActivityTrace, error) {
+			return timingStage(ctx, s.cfg, prof, s.cache, s.timingKeys[i])
+		})
 	if err != nil {
-		return nil, fmt.Errorf("sim: timing %s: %w", s.profiles[i].Name, err)
+		return nil, fmt.Errorf("sim: timing %s: %w", prof.Name, err)
 	}
-	s.traces[i] = tr
 	return tr, nil
 }
 
-// profileNeedsTrace reports whether any cell of profile i will need the
-// activity trace: a cell is trace-free when its finished AppRun or its
-// thermal series is already cached. Contains is advisory (an entry can be
-// evicted before use); ensureTrace covers the race.
-func (s *studyRun) profileNeedsTrace(i int) bool {
-	for ti := range s.techs {
-		thermalKey, fitKey, err := cellKeys(s.cfg, s.profiles[i], s.techs[ti])
-		if err != nil {
-			return true // surface the key error on the cell path
-		}
-		if !s.cache.fit.Contains(fitKey) && !s.cache.thermal.Contains(thermalKey) {
-			return true
-		}
+// traceKey is profile i's key in a study's trace memo: the index as 16
+// hex digits, the shortest key a store accepts.
+func traceKey(i int) string { return fmt.Sprintf("%016x", i) }
+
+// cellKeys derives a cell's thermal and FIT keys from its profile's
+// timing key.
+func (s *studyRun) cellKeys(i int, tech scaling.Technology) (thermalKey, fitKey string, err error) {
+	tk, err := s.timingKeys[i]()
+	if err != nil {
+		return "", "", err
 	}
-	return false
+	if thermalKey, err = thermalKeyFrom(s.cfg, tk, tech); err != nil {
+		return "", "", err
+	}
+	fitKey, err = fitKeyFrom(s.cfg, thermalKey)
+	return thermalKey, fitKey, err
 }
 
-// cellBase produces profile i's base-technology cell: served from the FIT
-// cache, replayed from a cached thermal series, or computed (with the
-// per-application power calibration of §4.4) — in that order of
-// preference. The returned provenance label feeds AppEvent.Source.
-func (s *studyRun) cellBase(ctx context.Context, i int) (AppRun, string, error) {
-	base := s.techs[0]
-	run, src, err := s.cellCached(ctx, i, base, func(ctx context.Context) (*ThermalSeries, error) {
-		tr, err := s.ensureTrace(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		return evaluateBaseThermal(ctx, s.cfg, tr, s.profiles[i])
-	})
-	return run, src, err
-}
-
-// cellScaled produces the (profile i × technology ti) cell, holding the
-// heat-sink temperature at the profile's base-technology value (§4.3).
-func (s *studyRun) cellScaled(ctx context.Context, i, ti int) (AppRun, string, error) {
-	tech := s.techs[ti]
-	return s.cellCached(ctx, i, tech, func(ctx context.Context) (*ThermalSeries, error) {
-		tr, err := s.ensureTrace(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		return RunThermalContext(ctx, s.cfg, tr, tech, s.baseRuns[i].SinkTempK, s.scales[i])
-	})
-}
-
-// cellCached implements the per-cell stage waterfall: FIT cache → thermal
-// cache + reliability replay → full computation via produce. Artifacts are
-// inserted only when complete, so a cancelled cell leaves the cache
-// exactly as it found it. The whole waterfall runs inside a sim.cell span
-// on its own trace track, annotated with the cell's identity and
-// provenance.
-func (s *studyRun) cellCached(ctx context.Context, i int, tech scaling.Technology,
-	produce func(context.Context) (*ThermalSeries, error)) (AppRun, string, error) {
+// cellCached runs profile i's cell at tech inside a sim.cell span on its own
+// trace track, annotated with the cell's identity and provenance (the
+// returned label, which feeds AppEvent.Source).
+func (s *studyRun) cellCached(ctx context.Context, i int, tech scaling.Technology, stage string,
+	thermal func(context.Context, *ActivityTrace) (*ThermalSeries, error)) (AppRun, string, error) {
 	ctx, cell := obs.StartTrackSpan(ctx, obs.SpanCell)
-	run, src, err := s.cellResolve(ctx, i, tech, produce)
+	run, src, err := s.cellResolve(ctx, i, tech, stage, thermal)
 	if cell != nil {
 		cell.SetAttr("app", s.profiles[i].Name)
 		cell.SetAttr("tech", tech.Name)
@@ -465,19 +422,44 @@ func (s *studyRun) cellCached(ctx context.Context, i int, tech scaling.Technolog
 	return run, src, err
 }
 
-// cellResolve is cellCached's uninstrumented body. A cell whose FIT or
-// thermal artifact another study is computing joins that computation.
-func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technology,
-	produce func(context.Context) (*ThermalSeries, error)) (AppRun, string, error) {
+// cellResolve is cellCached's uninstrumented body, the per-cell stage
+// waterfall: FIT cache → thermal cache + reliability replay → full
+// computation, where thermal turns the profile's trace into the cell's
+// thermal series. Its two steps each hold a compute-pool slot under the
+// cell's stage label; waiting on a memo or the trace holds none. Artifacts
+// are stored only when complete, so a cancelled cell leaves the cache as
+// it found it, and a cell whose FIT or thermal artifact another study is
+// computing joins that computation.
+func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technology, stage string,
+	thermal func(context.Context, *ActivityTrace) (*ThermalSeries, error)) (AppRun, string, error) {
+	produce := func(ctx context.Context) (*ThermalSeries, error) {
+		tr, err := s.trace(ctx, i)
+		if err != nil {
+			return nil, err
+		}
+		return leaf(ctx, stage, func(ctx context.Context) (*ThermalSeries, error) { return thermal(ctx, tr) })
+	}
+	accumulate := func(ctx context.Context, ts *ThermalSeries) (*AppRun, error) {
+		return leaf(ctx, stage, func(ctx context.Context) (*AppRun, error) {
+			run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
+			if err != nil {
+				return nil, err
+			}
+			return &run, nil
+		})
+	}
 	if s.cache == nil {
 		ts, err := produce(ctx)
 		if err != nil {
 			return AppRun{}, "", err
 		}
-		run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
-		return run, CellComputed, err
+		run, err := accumulate(ctx, ts)
+		if err != nil {
+			return AppRun{}, "", err
+		}
+		return *run, CellComputed, nil
 	}
-	thermalKey, fitKey, err := cellKeys(s.cfg, s.profiles[i], tech)
+	thermalKey, fitKey, err := s.cellKeys(i, tech)
 	if err != nil {
 		return AppRun{}, "", err
 	}
@@ -493,11 +475,7 @@ func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technolo
 		if out == store.OutcomeMiss {
 			src = CellComputed
 		}
-		run, err := AccumulateFITContext(ctx, s.cfg, ts, tech)
-		if err != nil {
-			return nil, err
-		}
-		return &run, nil
+		return accumulate(ctx, ts)
 	})
 	if err != nil {
 		return AppRun{}, "", err
@@ -505,23 +483,26 @@ func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technolo
 	return *run, src, nil
 }
 
-// RunTimings executes the timing stage for several profiles on a bounded
-// worker pool, returning the traces in input order. opts mirrors
-// RunStudyContext (progress events carry the StageTiming label).
+// RunTimings executes the timing stage for several profiles on the
+// process-wide compute pool, returning the traces in input order. opts
+// mirrors RunStudyContext: Parallelism bounds the profiles in progress,
+// and progress events carry the StageTiming label.
 func RunTimings(ctx context.Context, cfg Config, profiles []workload.Profile,
 	opts StudyOptions) ([]*ActivityTrace, error) {
+	ctx = sched.WithRecorder(ctx, opts.Metrics)
+	progress := sched.NewTally(opts.OnProgress, map[string]int{StageTiming: len(profiles)})
 	out := make([]*ActivityTrace, len(profiles))
-	err := sched.Map(ctx, len(profiles),
-		sched.Options{Parallelism: opts.Parallelism, OnProgress: opts.OnProgress, Metrics: opts.Metrics},
-		StageTiming,
-		func(ctx context.Context, i int) error {
-			tr, err := RunTimingContext(ctx, cfg, profiles[i])
-			if err != nil {
-				return fmt.Errorf("sim: timing %s: %w", profiles[i].Name, err)
-			}
-			out[i] = tr
-			return nil
+	err := sched.Each(ctx, len(profiles), opts.Parallelism, func(ctx context.Context, i int) error {
+		tr, err := leaf(ctx, StageTiming, func(ctx context.Context) (*ActivityTrace, error) {
+			return RunTimingContext(ctx, cfg, profiles[i])
 		})
+		if err != nil {
+			err = fmt.Errorf("sim: timing %s: %w", profiles[i].Name, err)
+		}
+		out[i] = tr
+		progress.Done(fmt.Sprintf("%s/%d", StageTiming, i), StageTiming, err)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/ramp-sim/ramp/internal/sched"
 )
 
 // fakeClock is a manually advanced time source.
@@ -359,6 +361,31 @@ func TestMemoDoFailureNotStored(t *testing.T) {
 		func(context.Context) (any, error) { return "ok", nil })
 	if err != nil || out != OutcomeMiss || v != "ok" {
 		t.Errorf("retry after failure: v=%v out=%s err=%v", v, out, err)
+	}
+}
+
+// TestMemoDoPanicFailsClosed proves a panicking fn fails its flight
+// instead of the process: every waiter gets a *sched.PanicError carrying
+// the panic value and stack, nothing is stored, and the next Do computes
+// afresh.
+func TestMemoDoPanicFailsClosed(t *testing.T) {
+	c := newMemo(t, Options{MaxEntries: 8})
+	_, out, err := c.Do(context.Background(), context.Background(), key(1),
+		func(context.Context) (any, error) { panic("boom") })
+	var pe *sched.PanicError
+	if !errors.As(err, &pe) || out != OutcomeMiss {
+		t.Fatalf("panicking Do: out=%s err=%v, want a miss ending in *sched.PanicError", out, err)
+	}
+	if pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("panic details lost: value=%v stack=%d bytes", pe.Value, len(pe.Stack))
+	}
+	if st := c.Stats(); st.Puts != 0 || st.Entries != 0 {
+		t.Fatalf("panicked flight stored: %+v", st)
+	}
+	v, out, err := c.Do(context.Background(), context.Background(), key(1),
+		func(context.Context) (any, error) { return "ok", nil })
+	if err != nil || out != OutcomeMiss || v != "ok" {
+		t.Errorf("retry after panic: v=%v out=%s err=%v", v, out, err)
 	}
 }
 

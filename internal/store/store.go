@@ -15,8 +15,8 @@
 // at most once however many callers ask: later callers join the running
 // flight instead of starting their own. A flight is refcounted by its
 // waiters and cancelled when the last one leaves; it is not on the LRU list,
-// so it is never evicted; and only a success is stored, so a cancelled or
-// failed computation cannot poison the memo. rampd's result memo
+// so it is never evicted; and only a success is stored, so a cancelled,
+// failed or panicking computation cannot poison the memo. rampd's result memo
 // (server.Cache) and the stage stores of internal/sim are instances.
 package store
 
@@ -29,6 +29,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"github.com/ramp-sim/ramp/internal/sched"
 )
 
 // Options bounds a Store.
@@ -343,9 +345,14 @@ func (s *Store[T]) readDisk(key string) (T, bool) {
 }
 
 // fly runs one flight and settles it: a success still attached to its key
-// becomes the key's finished value, a failure frees the key.
+// becomes the key's finished value, a failure — a *sched.PanicError if fn
+// panicked — frees the key.
 func (s *Store[T]) fly(ctx context.Context, f *Flight[T], fn func(context.Context) (T, error)) {
-	v, err := fn(ctx)
+	var v T
+	err := sched.Protect(s.name+"/"+f.key, func() (err error) {
+		v, err = fn(ctx)
+		return err
+	})
 	f.val, f.err = v, err
 	evicted, stored := 0, false
 	s.mu.Lock()
@@ -390,29 +397,6 @@ func (s *Store[T]) Wait(ctx context.Context, f *Flight[T]) (T, error) {
 		f.cancel()
 	}
 	return v, err
-}
-
-// Contains reports whether key is resident in memory or present on disk,
-// without decoding or promoting anything and without touching the hit/miss
-// counters. Planning code uses it to decide whether an upstream stage can
-// be skipped; because an entry can be evicted between Contains and Get,
-// callers must still handle a subsequent miss.
-func (s *Store[T]) Contains(key string) bool {
-	if !validKey(key) {
-		return false
-	}
-	s.mu.Lock()
-	_, ok := s.items[key]
-	dir := s.dir
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	if dir == "" {
-		return false
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
 }
 
 // PutInfo reports what one Put did beyond the memory-tier insert, so

@@ -72,9 +72,6 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 		if _, ok := s.Get(k); ok {
 			t.Fatalf("bad key %q accepted", k)
 		}
-		if s.Contains(k) {
-			t.Fatalf("bad key %q contained", k)
-		}
 	}
 	if s.Len() != 0 {
 		t.Fatal("bad keys stored")
@@ -100,9 +97,6 @@ func TestStoreDiskSpill(t *testing.T) {
 	s2, err := New[artifact]("thermal", Options{MaxEntries: 4, Dir: dir}, JSONCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s2.Contains(key(2)) {
-		t.Fatal("fresh store does not see spilled artifact")
 	}
 	if got, ok := s2.Get(key(2)); !ok || got.Name != "two" {
 		t.Fatalf("fresh store get = %+v, %v", got, ok)
@@ -150,7 +144,7 @@ func TestStoreConcurrent(t *testing.T) {
 				if v, ok := s.Get(k); ok && v < 0 {
 					t.Error("impossible value")
 				}
-				s.Contains(k)
+				s.Len()
 			}
 		}(g)
 	}

@@ -22,8 +22,8 @@ type (
 	// AppEvent is one completed (application × technology) cell of a
 	// running study, delivered while the grid is still filling in.
 	AppEvent = sim.AppEvent
-	// MetricsRecorder observes scheduler lifecycle events (queue depth,
-	// in-flight tasks) across the studies a Runner executes.
+	// MetricsRecorder observes compute-pool lifecycle events (slots
+	// awaited and held) across the studies a Runner executes.
 	MetricsRecorder = sched.Recorder
 	// MetricsCounters is the standard atomic MetricsRecorder; share one
 	// across Runners to aggregate.
@@ -116,9 +116,11 @@ func New(opts ...Option) (*Runner, error) {
 	return r, nil
 }
 
-// WithParallelism bounds the number of concurrently executing study tasks;
-// values < 1 (and the default) mean runtime.GOMAXPROCS(0). Parallelism
-// never affects numerics — results are bit-identical at every level.
+// WithParallelism bounds how many cells of one study (or replica batches
+// of one Monte Carlo study) are in progress at once; values < 1 (and the
+// default) leave the bound to the process-wide compute pool, whose
+// GOMAXPROCS slots every study shares. Parallelism never affects
+// numerics — results are bit-identical at every level.
 func WithParallelism(n int) Option {
 	return func(r *Runner) error {
 		r.parallelism = n
@@ -135,7 +137,7 @@ func WithProgress(fn func(StudyProgress)) Option {
 	}
 }
 
-// WithMetrics installs a scheduler-lifecycle observer (e.g. a shared
+// WithMetrics installs a compute-pool lifecycle observer (e.g. a shared
 // *MetricsCounters) spanning every study the Runner executes.
 func WithMetrics(rec MetricsRecorder) Option {
 	return func(r *Runner) error {
@@ -336,7 +338,7 @@ func (r *Runner) Study(ctx context.Context, cfg Config, profiles []Profile,
 // MCStudy executes the scaling study (through the Runner's stage cache,
 // so a warm cache reduces it to replaying cheap artifacts) and then fans
 // Monte Carlo lifetime replicas for every (application × technology)
-// cell across the Runner's scheduler pool, summarising each cell's
+// cell over the process-wide compute pool, summarising each cell's
 // lifetime distribution with percentile and mean confidence intervals.
 //
 // Replica streams are seeded per (root seed, cell, replica), so the
