@@ -3,11 +3,42 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
+
+// CanonicalJSON is the reference canonical encoding behind every content
+// key: json.Marshal, then a decode into generic maps and a re-marshal, so
+// object keys come out sorted lexicographically at every nesting level,
+// with no insignificant whitespace and every number as encoding/json first
+// rendered it. Two values that marshal to the same JSON object — whatever
+// their struct field declaration order, or whether one side is a struct and
+// the other a decoded map — produce byte-identical output. Keys are derived
+// by the direct encoder (appendCanonical), which must write exactly these
+// bytes; the differential tests and FuzzCanonicalEncoder compare the two.
+func CanonicalJSON(v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("sim: canonical: %w", err)
+	}
+	// Round-trip through the generic form: maps re-marshal with sorted
+	// keys, and json.Number keeps each numeric literal's original text so
+	// no float precision is disturbed along the way.
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var generic any
+	if err := dec.Decode(&generic); err != nil {
+		return nil, fmt.Errorf("sim: canonical: %w", err)
+	}
+	out, err := json.Marshal(generic)
+	if err != nil {
+		return nil, fmt.Errorf("sim: canonical: %w", err)
+	}
+	return out, nil
+}
 
 // TestCanonicalJSONFieldOrderStability proves that struct field declaration
 // order does not leak into the canonical encoding: two types carrying the
