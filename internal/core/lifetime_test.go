@@ -237,3 +237,29 @@ func TestDistributionSamplesAlwaysPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wrappedWeibull is a Distribution the sampler knows nothing about, so its
+// cells keep calling Sample.
+type wrappedWeibull struct{ Weibull }
+
+// TestSamplerCellMatchesSample: a cell's precomputed draw is bit-identical
+// to its distribution's Sample on the same stream, for every distribution
+// the sampler specialises and for one it does not.
+func TestSamplerCellMatchesSample(t *testing.T) {
+	for _, d := range []Distribution{
+		Exponential{}, Weibull{Shape: 2}, Weibull{Shape: 1.8}, Weibull{Shape: 2.35},
+		Weibull{Shape: 0.7}, Lognormal{Sigma: 0.5}, Lognormal{Sigma: 1.3},
+		wrappedWeibull{Weibull{Shape: 2}},
+	} {
+		for _, mean := range []float64{1e-3, 1, 87_600, 3.3e7, 1e300} {
+			c := newSamplerCell(d, mean)
+			a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+			for i := 0; i < 20_000; i++ {
+				want, got := d.Sample(a, mean), c.sample(b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, mean %g, draw %d: cell drew %v, Sample %v", d.Name(), mean, i, got, want)
+				}
+			}
+		}
+	}
+}

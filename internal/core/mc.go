@@ -93,10 +93,66 @@ func (r *ReplicaRand) Rand() *rand.Rand { return r.rng }
 
 // samplerCell is one positive-rate (structure, mechanism) entry of a
 // breakdown: its resolved lifetime distribution and per-cell mean
-// lifetime in hours.
+// lifetime in hours, with the distribution's per-cell constants computed
+// once. A draw from the constants is bit-identical to dist.Sample.
 type samplerCell struct {
+	kind      cellKind
 	dist      Distribution
 	meanHours float64
+	// c1, c2 are the Weibull scale mean/Γ(1+1/β) and 1/β, or the
+	// lognormal μ = ln(mean) − σ²/2 and σ.
+	c1, c2 float64
+}
+
+// cellKind selects how a samplerCell draws.
+type cellKind uint8
+
+const (
+	cellGeneric cellKind = iota // dist.Sample
+	cellExponential
+	cellWeibull
+	cellLognormal
+)
+
+// newSamplerCell resolves a cell's draw and precomputes its constants with
+// the same operations the distribution's Sample performs per draw.
+func newSamplerCell(d Distribution, meanHours float64) samplerCell {
+	c := samplerCell{dist: d, meanHours: meanHours}
+	switch d := d.(type) {
+	case Exponential:
+		c.kind = cellExponential
+	case Weibull:
+		if d.Shape > 0 {
+			c.kind = cellWeibull
+			c.c1 = meanHours / math.Gamma(1+1/d.Shape)
+			c.c2 = 1 / d.Shape
+		}
+	case Lognormal:
+		if d.Sigma >= 0 {
+			c.kind = cellLognormal
+			c.c1 = math.Log(meanHours) - float64(d.Sigma*d.Sigma/2)
+			c.c2 = d.Sigma
+		}
+	}
+	return c
+}
+
+// sample draws the cell's lifetime in hours.
+func (c *samplerCell) sample(rng *rand.Rand) float64 {
+	switch c.kind {
+	case cellExponential:
+		return rng.ExpFloat64() * c.meanHours
+	case cellWeibull:
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		return c.c1 * math.Pow(-math.Log(u), c.c2)
+	case cellLognormal:
+		return math.Exp(c.c1 + float64(c.c2*rng.NormFloat64()))
+	default:
+		return c.dist.Sample(rng, c.meanHours)
+	}
 }
 
 // LifetimeSampler draws series-system processor lifetimes for one
@@ -125,7 +181,7 @@ func NewLifetimeSampler(b Breakdown, model LifetimeModel) (*LifetimeSampler, err
 			if fit <= 0 {
 				continue
 			}
-			cells = append(cells, samplerCell{model.Dist[m], phys.MTTFHoursFromFIT(fit)})
+			cells = append(cells, newSamplerCell(model.Dist[m], phys.MTTFHoursFromFIT(fit)))
 		}
 	}
 	extraNames := make([]string, 0, len(b.Extra))
@@ -144,7 +200,7 @@ func NewLifetimeSampler(b Breakdown, model LifetimeModel) (*LifetimeSampler, err
 			if fit <= 0 {
 				continue
 			}
-			cells = append(cells, samplerCell{d, phys.MTTFHoursFromFIT(fit)})
+			cells = append(cells, newSamplerCell(d, phys.MTTFHoursFromFIT(fit)))
 		}
 	}
 	if len(cells) == 0 {
@@ -160,8 +216,8 @@ func (ls *LifetimeSampler) Cells() int { return len(ls.cells) }
 // cell with the cell's mean, minimum across the series system.
 func (ls *LifetimeSampler) Sample(rng *rand.Rand) float64 {
 	minLife := math.Inf(1)
-	for _, c := range ls.cells {
-		l := c.dist.Sample(rng, c.meanHours)
+	for i := range ls.cells {
+		l := ls.cells[i].sample(rng)
 		if l < minLife {
 			minLife = l
 		}
