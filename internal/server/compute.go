@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"github.com/ramp-sim/ramp/internal/obs"
+	"github.com/ramp-sim/ramp/internal/report"
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/sim"
 	"github.com/ramp-sim/ramp/internal/store"
@@ -142,6 +144,15 @@ func (s *Server) studyMeta(key string, c *call, served time.Time) StudyMeta {
 		ComputeMS: float64(s.now().Sub(served)) / float64(time.Millisecond)}
 }
 
+// studyEntry is a study's memo value: the result, and the compact JSON of
+// its report document, encoded once when the flight completes so that no
+// hit re-encodes it. Only the compact form is kept; responses indent it
+// on the way out.
+type studyEntry struct {
+	res *sim.StudyResult
+	doc []byte
+}
+
 // studyRun computes a deterministic study; onApp, when non-nil, receives
 // the leader's cells as they complete.
 func (s *Server) studyRun(key string, admit bool, cfg sim.Config, profiles []workload.Profile,
@@ -158,7 +169,11 @@ func (s *Server) studyRun(key string, admit bool, cfg sim.Config, profiles []wor
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		doc, err := json.Marshal(report.BuildDocument(res))
+		if err != nil {
+			return nil, err
+		}
+		return &studyEntry{res: res, doc: doc}, nil
 	}}
 }
 
@@ -174,7 +189,7 @@ func (s *Server) mcRun(key, studyKey string, admit bool, cfg sim.Config, profile
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.MonteCarloStudy(ctx, base.(*sim.StudyResult), mcfg, sim.MCOptions{
+		res, err := sim.MonteCarloStudy(ctx, base.(*studyEntry).res, mcfg, sim.MCOptions{
 			Parallelism: s.cfg.Parallelism,
 			Metrics:     s.schedRec,
 			OnEvent:     onEvent,

@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,6 +31,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/ramp-sim/ramp/internal/core"
@@ -530,7 +532,9 @@ type StudyMeta struct {
 	ComputeMS float64 `json:"compute_ms"`
 }
 
-// StudyResponse is the /v1/study payload.
+// StudyResponse is the /v1/study payload. Handlers write it from the
+// memo's encoded document (writeStudyResponse) rather than from a value of
+// this type; the type defines the wire form for clients and tests.
 type StudyResponse struct {
 	SchemaVersion int             `json:"schema_version"`
 	Meta          StudyMeta       `json:"meta"`
@@ -551,13 +555,12 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	res, meta, err := s.study(r.Context(), req)
+	e, meta, err := s.study(r.Context(), req)
 	if err != nil {
 		s.writeStudyError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, StudyResponse{
-		SchemaVersion: SchemaVersion, Meta: meta, Study: report.BuildDocument(res)})
+	s.writeStudyResponse(w, meta, e.doc)
 }
 
 // handleMTTF serves the compact lifetime summary; it shares the study
@@ -568,13 +571,13 @@ func (s *Server) handleMTTF(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	res, meta, err := s.study(r.Context(), req)
+	e, meta, err := s.study(r.Context(), req)
 	if err != nil {
 		s.writeStudyError(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, MTTFResponse{
-		SchemaVersion: SchemaVersion, Meta: meta, MTTF: report.BuildMTTFSummary(res)})
+		SchemaVersion: SchemaVersion, Meta: meta, MTTF: report.BuildMTTFSummary(e.res)})
 }
 
 // handleProfiles lists the registered benchmark profiles.
@@ -837,7 +840,7 @@ func (s *Server) resolve(req StudyRequest) (sim.Config, []workload.Profile, []sc
 // study returns the result for a request through the memo; the flight
 // leader runs the simulation under admission control and the compute
 // deadline.
-func (s *Server) study(ctx context.Context, req StudyRequest) (*sim.StudyResult, StudyMeta, error) {
+func (s *Server) study(ctx context.Context, req StudyRequest) (*studyEntry, StudyMeta, error) {
 	cfg, profiles, techs, err := s.resolve(req)
 	if err != nil {
 		return nil, StudyMeta{}, &badRequestError{err}
@@ -857,7 +860,7 @@ func (s *Server) study(ctx context.Context, req StudyRequest) (*sim.StudyResult,
 	if err != nil {
 		return nil, StudyMeta{}, err
 	}
-	return v.(*sim.StudyResult), s.studyMeta(key, c, served), nil
+	return v.(*studyEntry), s.studyMeta(key, c, served), nil
 }
 
 // badRequestError marks client-side input errors for status mapping.
@@ -930,6 +933,55 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeStudyResponse writes the StudyResponse envelope around a memo
+// entry's compact document. The bytes are exactly what writeJSON gives
+// for the equivalent StudyResponse value — json.Encoder marshals compactly
+// and then indents — without re-encoding the document.
+func (s *Server) writeStudyResponse(w http.ResponseWriter, meta StudyMeta, doc []byte) {
+	bufs := envelopeBufs.Get().(*envelopeBuf)
+	defer envelopeBufs.Put(bufs)
+	compact, err := appendStudyEnvelope(bufs.compact[:0], studyResponseHead, meta, doc)
+	bufs.compact = compact
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
+	}
+	bufs.indented.Reset()
+	if err := json.Indent(&bufs.indented, compact, "", "  "); err != nil {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
+	}
+	bufs.indented.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(bufs.indented.Bytes())
+}
+
+// studyResponseHead opens a StudyResponse up to its meta value.
+var studyResponseHead = fmt.Sprintf(`{"schema_version":%d,"meta":`, SchemaVersion)
+
+// envelopeBuf holds one response's compact and indented forms.
+type envelopeBuf struct {
+	compact  []byte
+	indented bytes.Buffer
+}
+
+var envelopeBufs = sync.Pool{New: func() any { return new(envelopeBuf) }}
+
+// appendStudyEnvelope appends head (the envelope's opening through its
+// "meta" name), the encoded meta, and the compact document under "study".
+func appendStudyEnvelope(dst []byte, head string, meta StudyMeta, doc []byte) ([]byte, error) {
+	m, err := json.Marshal(meta)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, head...)
+	dst = append(dst, m...)
+	dst = append(dst, `,"study":`...)
+	dst = append(dst, doc...)
+	return append(dst, '}'), nil
 }
 
 // writeError writes the stable error envelope. The request ID is read back

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"github.com/ramp-sim/ramp/internal/obs"
-	"github.com/ramp-sim/ramp/internal/report"
 	"github.com/ramp-sim/ramp/internal/sim"
 )
 
@@ -52,13 +51,6 @@ type streamAppEvent struct {
 // streamHeartbeatEvent keeps idle connections alive.
 type streamHeartbeatEvent struct {
 	Event string `json:"event"` // "heartbeat"
-}
-
-// streamStudyEvent terminates a successful stream.
-type streamStudyEvent struct {
-	Event string          `json:"event"` // "study"
-	Meta  StudyMeta       `json:"meta"`
-	Study report.Document `json:"study"`
 }
 
 // streamErrorEvent terminates a failed stream.
@@ -121,19 +113,20 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 		sw.send(streamErrorEvent{"error", ErrorBody{Code: code, Message: msg.Error()}})
 		return
 	}
-	res := v.(*sim.StudyResult)
+	e := v.(*studyEntry)
 	if c.disp != obs.ResultMiss {
-		for i, a := range res.Apps {
-			sw.send(streamAppEvent{"app", i + 1, len(res.Apps), streamSourceResultCache, a})
+		for i, a := range e.res.Apps {
+			sw.send(streamAppEvent{"app", i + 1, len(e.res.Apps), streamSourceResultCache, a})
 		}
 	}
-	sw.send(streamStudyEvent{"study", s.studyMeta(key, c, served), report.BuildDocument(res)})
+	sw.sendStudy(s.studyMeta(key, c, served), e.doc)
 }
 
 // streamWriter serialises NDJSON events and flushes after each one. Write
 // errors latch: once the client is gone every later send is a no-op and
 // the handler unwinds via context cancellation.
 type streamWriter struct {
+	w       http.ResponseWriter
 	enc     *json.Encoder
 	flusher http.Flusher
 	events  *obs.CounterVec // sent events by type; nil disables counting
@@ -144,7 +137,7 @@ func (s *Server) newStreamWriter(w http.ResponseWriter, f http.Flusher) *streamW
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	return &streamWriter{enc: json.NewEncoder(w), flusher: f, events: s.obs.streamEvents}
+	return &streamWriter{w: w, enc: json.NewEncoder(w), flusher: f, events: s.obs.streamEvents}
 }
 
 func (sw *streamWriter) send(v any) {
@@ -155,9 +148,34 @@ func (sw *streamWriter) send(v any) {
 		sw.failed = true
 		return
 	}
+	sw.sent(streamEventName(v))
+}
+
+// streamStudyHead opens the closing study event up to its meta value.
+const streamStudyHead = `{"event":"study","meta":`
+
+// sendStudy writes the closing study event, {"event":"study","meta":…,
+// "study":<document>}, around a memo entry's compact document.
+func (sw *streamWriter) sendStudy(meta StudyMeta, doc []byte) {
+	if sw.failed {
+		return
+	}
+	line, err := appendStudyEnvelope(make([]byte, 0, len(doc)+256), streamStudyHead, meta, doc)
+	if err == nil {
+		_, err = sw.w.Write(append(line, '\n'))
+	}
+	if err != nil {
+		sw.failed = true
+		return
+	}
+	sw.sent("study")
+}
+
+// sent flushes a written event and counts it.
+func (sw *streamWriter) sent(name string) {
 	sw.flusher.Flush()
 	if sw.events != nil {
-		sw.events.With(streamEventName(v)).Inc()
+		sw.events.With(name).Inc()
 	}
 }
 
@@ -170,8 +188,6 @@ func streamEventName(v any) string {
 		return "app"
 	case streamHeartbeatEvent:
 		return "heartbeat"
-	case streamStudyEvent:
-		return "study"
 	case batchMetaEvent:
 		return "meta"
 	case batchJobEvent:
