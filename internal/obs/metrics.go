@@ -340,6 +340,24 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.seriesFor(zipLabels(v.labels, values)).ctr
 }
 
+// Each calls fn with the label values and count of every counter With has
+// created, in creation order.
+func (v *CounterVec) Each(fn func(values []string, n uint64)) {
+	v.f.mu.Lock()
+	rows := make([]*series, len(v.f.order))
+	for i, k := range v.f.order {
+		rows[i] = v.f.series[k]
+	}
+	v.f.mu.Unlock()
+	for _, s := range rows {
+		values := make([]string, len(s.labels))
+		for i, l := range s.labels {
+			values[i] = l.Value
+		}
+		fn(values, s.ctr.Value())
+	}
+}
+
 // GaugeVec is a gauge family with a fixed label-name set.
 type GaugeVec struct {
 	f      *family

@@ -45,6 +45,10 @@ const (
 	SpanCachePut = "store.put"
 	// SpanRequest wraps one HTTP request in rampd.
 	SpanRequest = "server.request"
+	// SpanSlot wraps one hold of a compute-pool slot (sched.Pool.Run):
+	// "stage" labels the work and "wait_ns" is how long the caller waited
+	// for the slot before the span began.
+	SpanSlot = "sched.slot"
 )
 
 // Attr is one key/value annotation on a span.

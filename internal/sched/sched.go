@@ -11,7 +11,9 @@
 // progress, at most Size slot-holding computations run at once. Each fans
 // a caller's independent calls out over a bounded set of goroutines, with
 // first-error cancellation; Tally turns completions into Progress events.
-// A panic in pool work is recovered into a *PanicError.
+// A panic in pool work is recovered into a *PanicError. The pool counts
+// its own work (Stats), and a traced caller's slot hold is an
+// obs.SpanSlot span.
 //
 // The package adds no synchronisation around task results: callers write
 // to disjoint storage (typically their own slice slot), which also makes
@@ -30,15 +32,30 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/ramp-sim/ramp/internal/obs"
 )
 
 // Pool is a set of compute slots. Create with NewPool; all methods are safe
 // for concurrent use.
 type Pool struct {
-	size    int
-	mu      sync.Mutex
-	free    int
-	waiters list.List // of chan struct{}, oldest first
+	size      int
+	mu        sync.Mutex
+	free      int
+	waiters   list.List // of chan struct{}, oldest first
+	completed int64
+	failed    int64
+}
+
+// Stats is a consistent reading of a pool's activity.
+type Stats struct {
+	// QueueDepth is the number of callers waiting for a slot.
+	QueueDepth int64
+	// InFlight is the number of slots held.
+	InFlight int64
+	// Completed and Failed count the calls whose work returned without
+	// and with an error.
+	Completed, Failed int64
 }
 
 // NewPool returns a pool of size slots (at least 1).
@@ -56,45 +73,54 @@ var Default = NewPool(runtime.GOMAXPROCS(0))
 // Size returns the pool's slot count.
 func (p *Pool) Size() int { return p.size }
 
+// Stats returns the pool's current activity, read under one lock.
+func (p *Pool) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return Stats{
+		QueueDepth: int64(p.waiters.Len()),
+		InFlight:   int64(p.size - p.free),
+		Completed:  p.completed,
+		Failed:     p.failed,
+	}
+}
+
 // Run waits for a slot under ctx, runs fn holding it, and releases it. It
 // returns ctx.Err() if ctx ends before a slot is free, and fn's error —
-// a *PanicError if fn panics — otherwise. stage labels the work for the
-// Recorder in ctx (see WithRecorder).
-func (p *Pool) Run(ctx context.Context, stage string, fn func(context.Context) error) error {
-	rec, _ := ctx.Value(recorderKey{}).(Recorder)
-	queueObs, _ := rec.(QueueObserver)
-	stageObs, _ := rec.(StageObserver)
+// a *PanicError if fn panics — otherwise. When ctx carries a tracer, the
+// slot hold is an obs.SpanSlot span whose "stage" attribute is stage and
+// whose "wait_ns" attribute is the time spent waiting for the slot.
+func (p *Pool) Run(ctx context.Context, stage string, fn func(context.Context) error) (err error) {
 	var queued time.Time
-	if rec != nil {
-		rec.TaskQueued()
-		if queueObs != nil {
-			queued = time.Now()
-		}
+	if obs.TracerFrom(ctx) != nil {
+		queued = time.Now()
 	}
-	if err := p.acquire(ctx); err != nil {
-		if rec != nil {
-			rec.TaskAbandoned()
-		}
+	if err = p.acquire(ctx); err != nil {
 		return err
 	}
-	defer p.release()
-	if rec == nil {
-		return Protect(stage, func() error { return fn(ctx) })
+	defer p.release(&err)
+	_, sp := obs.StartSpan(ctx, obs.SpanSlot)
+	if sp != nil {
+		sp.SetAttr("stage", stage)
+		sp.SetAttr("wait_ns", strconv.FormatInt(int64(time.Since(queued)), 10))
 	}
-	rec.TaskStarted()
-	var started time.Time
-	if queueObs != nil || stageObs != nil {
-		started = time.Now()
+	// Deferred after the release, so it runs first: the span ends before
+	// the slot passes on, so the spans of one slot never overlap, and a
+	// panicking span sink still gives the slot back.
+	defer sp.Finish()
+	return Protect(stage, func() error { return fn(ctx) })
+}
+
+// release counts a finished call by its error and hands its slot on.
+func (p *Pool) release(err *error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if *err != nil {
+		p.failed++
+	} else {
+		p.completed++
 	}
-	if queueObs != nil {
-		queueObs.TaskQueueWait(stage, started.Sub(queued))
-	}
-	err := Protect(stage, func() error { return fn(ctx) })
-	if stageObs != nil {
-		stageObs.TaskLatency(stage, time.Since(started), err)
-	}
-	rec.TaskFinished(err)
-	return err
+	p.releaseLocked()
 }
 
 // acquire takes a slot, queueing behind earlier callers when none is free.
@@ -119,20 +145,18 @@ func (p *Pool) acquire(ctx context.Context) error {
 		select {
 		case <-ready:
 			// Handed a slot as ctx ended: pass it on.
-			p.mu.Unlock()
-			p.release()
+			p.releaseLocked()
 		default:
 			p.waiters.Remove(el)
-			p.mu.Unlock()
 		}
+		p.mu.Unlock()
 		return ctx.Err()
 	}
 }
 
-// release hands the slot to the oldest waiter, or frees it.
-func (p *Pool) release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// releaseLocked hands the slot to the oldest waiter, or frees it. The
+// caller holds p.mu.
+func (p *Pool) releaseLocked() {
 	if front := p.waiters.Front(); front != nil {
 		close(p.waiters.Remove(front).(chan struct{}))
 		return
@@ -205,19 +229,6 @@ func Protect(task string, fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-type recorderKey struct{}
-
-// WithRecorder returns ctx carrying rec, which receives the lifecycle
-// events of every Pool.Run under the returned context — including runs
-// inside memo flights it leads, whose contexts keep its values. A nil rec
-// returns ctx unchanged.
-func WithRecorder(ctx context.Context, rec Recorder) context.Context {
-	if rec == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, recorderKey{}, rec)
 }
 
 // Progress is a snapshot of a run's completion, delivered after each task

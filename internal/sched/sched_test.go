@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/ramp-sim/ramp/internal/obs"
 )
 
 // awaitWaiters spins until n callers are queued for a slot of p: a
@@ -131,6 +133,28 @@ func TestRunRecoversPanics(t *testing.T) {
 	})
 	if !errors.As(err, &pe) || pe.Value != "each" || pe.Task != "2" {
 		t.Fatalf("Each: got %v, want *PanicError for index 2", err)
+	}
+}
+
+// panicSink is a span sink that panics on every span.
+type panicSink struct{}
+
+func (panicSink) SpanEnded(*obs.Span) { panic("sink") }
+
+// TestRunReleasesSlotWhenSinkPanics: a span sink that panics as a slot
+// span ends still leaves the slot released and the call counted.
+func TestRunReleasesSlotWhenSinkPanics(t *testing.T) {
+	p := NewPool(1)
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(panicSink{}))
+	err := Protect("run", func() error {
+		return p.Run(ctx, "traced", func(context.Context) error { return nil })
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "sink" {
+		t.Fatalf("got %v, want the sink's panic", err)
+	}
+	if got, want := p.Stats(), (Stats{Completed: 1}); got != want {
+		t.Fatalf("stats after a panicking sink = %+v, want %+v", got, want)
 	}
 }
 

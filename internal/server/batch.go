@@ -229,7 +229,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.metrics.Batches.Add(1)
 	s.obs.batches.Inc()
 	s.logger.Info("batch submitted",
 		"request_id", obs.RequestIDFrom(r.Context()),
@@ -371,7 +370,6 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request, batch
 			fmt.Errorf("unknown batch %q", batchID))
 		return
 	}
-	s.metrics.Streams.Add(1)
 	s.obs.streams.Inc()
 
 	sw := s.newStreamWriter(w, flusher)
@@ -433,7 +431,7 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job) (any, error) {
 	if tc, ok := obs.ParseTraceparent(j.Origin.Traceparent); ok {
 		ctx = obs.WithTraceContext(ctx, tc)
 	}
-	ctx, span := obs.StartSpan(obs.WithTracer(ctx, obs.NewTracer(s.obs.jobSink)), spanJobRun)
+	ctx, span := obs.StartSpan(obs.WithTracer(ctx, obs.NewTracer(s.obs)), spanJobRun)
 	span.SetAttr("job", j.ID)
 	span.SetAttr("kind", string(j.Kind))
 	span.SetAttr("key", j.Key)

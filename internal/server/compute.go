@@ -81,7 +81,7 @@ func (s *Server) begin(ctx context.Context, r run) *call {
 		start := s.now()
 		s.logger.Info(r.label+" start", "request_id", reqID, "key", r.key)
 		collector := obs.NewCollector(s.cfg.TraceSpanLimit)
-		sinks := []obs.SpanSink{s.obs.sink, collector}
+		sinks := []obs.SpanSink{s.obs, collector}
 		stats := enclosing
 		if stats == nil && s.ledger != nil {
 			stats = obs.NewRunStats()
@@ -110,7 +110,6 @@ func (s *Server) begin(ctx context.Context, r run) *call {
 		c.disp = obs.ResultHit
 	case store.OutcomeJoined:
 		c.disp = obs.ResultCoalesced
-		s.metrics.Coalesced.Add(1)
 		s.obs.coalesced.Inc()
 	default:
 		c.disp = obs.ResultMiss
@@ -158,11 +157,9 @@ type studyEntry struct {
 func (s *Server) studyRun(key string, admit bool, cfg sim.Config, profiles []workload.Profile,
 	techs []scaling.Technology, onApp func(sim.AppEvent)) run {
 	return run{label: "study", key: key, admit: admit, compute: func(ctx context.Context) (any, error) {
-		s.metrics.Studies.Add(1)
 		s.obs.studies.Inc()
 		res, err := s.runStudy(ctx, cfg, profiles, techs, sim.StudyOptions{
 			Parallelism: s.cfg.Parallelism,
-			Metrics:     s.schedRec,
 			Cache:       s.stageCache,
 			OnApp:       onApp,
 		})
@@ -191,13 +188,11 @@ func (s *Server) mcRun(key, studyKey string, admit bool, cfg sim.Config, profile
 		}
 		res, err := sim.MonteCarloStudy(ctx, base.(*studyEntry).res, mcfg, sim.MCOptions{
 			Parallelism: s.cfg.Parallelism,
-			Metrics:     s.schedRec,
 			OnEvent:     onEvent,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.MCReplicas.Add(int64(res.TotalReplicas))
 		s.obs.mcReplicas.Add(uint64(res.TotalReplicas))
 		return res, nil
 	}}

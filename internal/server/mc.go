@@ -220,7 +220,6 @@ func (s *Server) handleStudyMC(w http.ResponseWriter, r *http.Request) {
 		publish(mcEventWire(ev))
 	})
 	sw, c, v, err := s.serveStream(w, r, rn, events, func(cache string) any {
-		s.metrics.MCStudies.Add(1)
 		s.obs.mcStudies.Inc()
 		return mcMetaEvent{SchemaVersion: SchemaVersion, Event: "meta", RequestID: reqID,
 			Key: mcKey, StudyKey: studyKey, CellsTotal: cellsTotal,

@@ -21,9 +21,9 @@ import (
 // holdUntilCoalesced blocks a stubbed computation until want requests
 // have joined it, or until a deadline, so a server that fails to coalesce
 // finishes (and fails the test) instead of hanging.
-func holdUntilCoalesced(s *Server, want int64) {
+func holdUntilCoalesced(s *Server, want uint64) {
 	deadline := time.Now().Add(3 * time.Second)
-	for s.metrics.Coalesced.Value() < want && time.Now().Before(deadline) {
+	for s.obs.coalesced.Value() < want && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -103,7 +103,7 @@ func TestConcurrentCrossEndpointCoalesce(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("simulations run = %d, want 1", got)
 	}
-	if got := s.metrics.Coalesced.Value(); got != 2 {
+	if got := s.obs.coalesced.Value(); got != 2 {
 		t.Errorf("coalesced = %d, want 2", got)
 	}
 	for i, name := range []string{"/v1/study", "stream", "batch job"} {
@@ -149,7 +149,7 @@ func TestConcurrentIdenticalMCStreamsCoalesce(t *testing.T) {
 	}
 
 	// One run: 2 cells (180nm anchor + 130nm) × 500 samples.
-	if got := s.metrics.MCReplicas.Value(); got != 1000 {
+	if got := s.obs.mcReplicas.Value(); got != 1000 {
 		t.Errorf("MC replicas drawn = %d, want one run's 1000", got)
 	}
 	if !bytes.Equal(finals[0].MC, finals[1].MC) {

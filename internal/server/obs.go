@@ -2,18 +2,21 @@ package server
 
 import (
 	"runtime"
+	"strconv"
 	"time"
 
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/sched"
+	"github.com/ramp-sim/ramp/internal/sim"
 	"github.com/ramp-sim/ramp/internal/store"
 )
 
 // serverObs is the server's obs.Registry instrument set: everything
-// /metrics?format=prometheus exposes. Push-style instruments (counters,
-// histograms) are updated on the hot paths; pre-existing stat sources
-// (result cache, compute-pool counters, stage cache) are bridged at scrape
-// time so their state is never double-counted.
+// /metrics?format=prometheus exposes, and the source of every count the
+// JSON /metrics document reports. Push-style instruments (counters,
+// histograms) are updated on the hot paths or fed by spans through
+// SpanEnded; pre-existing stat sources (result cache, compute pool, stage
+// cache) are bridged at scrape time so their state is never double-counted.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -39,44 +42,48 @@ type serverObs struct {
 	jobRuns    *obs.CounterVec   // ramp_job_runs_total{kind,outcome}
 	jobLatency *obs.HistogramVec // ramp_job_duration_seconds{kind}
 
-	// Pipeline-stage latency (timing|thermal|fit), fed by the span sink.
+	// Span-fed histograms (see SpanEnded): pipeline-stage latency
+	// (timing|thermal|fit), compute-pool slot hold and slot wait.
 	stageLatency *obs.HistogramVec // ramp_stage_duration_seconds{stage}
-	// Compute-pool task latency, fed by the sched.StageObserver hook.
 	schedLatency *obs.HistogramVec // ramp_sched_task_duration_seconds{stage}
-	// Compute-pool slot wait, fed by the sched.QueueObserver hook.
-	queueWait *obs.HistogramVec // ramp_sched_queue_wait_seconds{stage}
-	// Stage-cache operations, fed by the store observer.
-	cacheOps *obs.CounterVec // ramp_stage_cache_ops_total{stage,op,outcome}
-
-	// sink bridges completed pipeline-stage spans into stageLatency; it is
-	// part of every study's tracer fan-out.
-	sink *obs.MetricsSink
-	// jobSink is the batch executor's span sink: per-job "jobs.run" spans
-	// land in jobLatency. A job's pipeline stages run in a memo flight,
-	// whose own tracer feeds sink.
-	jobSink obs.SpanSink
+	queueWait    *obs.HistogramVec // ramp_sched_queue_wait_seconds{stage}
+	stages       *obs.MetricsSink  // feeds stageLatency
 }
 
 // spanJobRun names the span wrapping one batch-job execution.
 const spanJobRun = "jobs.run"
 
-// jobSpanSink observes completed jobs.run spans into the per-kind job
-// latency histogram.
-type jobSpanSink struct {
-	hist *obs.HistogramVec
-}
-
-func (s *jobSpanSink) SpanEnded(sp *obs.Span) {
-	if sp.Name != spanJobRun {
-		return
-	}
-	kind := "unknown"
-	for _, a := range sp.Attrs() {
-		if a.Key == "kind" {
-			kind = a.Value
+// SpanEnded implements obs.SpanSink. serverObs is the one sink through
+// which spans feed the server's instruments; it is part of every flight's
+// tracer fan-out and is the batch executor's tracer sink. A job's pipeline
+// stages run in a memo flight, whose own tracer delivers them here.
+func (o *serverObs) SpanEnded(sp *obs.Span) {
+	switch sp.Name {
+	case obs.SpanSlot:
+		var stage string
+		var wait time.Duration
+		for _, a := range sp.Attrs() {
+			switch a.Key {
+			case "stage":
+				stage = a.Value
+			case "wait_ns":
+				ns, _ := strconv.ParseInt(a.Value, 10, 64)
+				wait = time.Duration(ns)
+			}
 		}
+		o.schedLatency.With(stage).Observe(sp.Duration().Seconds())
+		o.queueWait.With(stage).Observe(wait.Seconds())
+	case spanJobRun:
+		kind := "unknown"
+		for _, a := range sp.Attrs() {
+			if a.Key == "kind" {
+				kind = a.Value
+			}
+		}
+		o.jobLatency.With(kind).Observe(sp.Duration().Seconds())
+	default:
+		o.stages.SpanEnded(sp)
 	}
-	s.hist.With(kind).Observe(sp.End.Sub(sp.Start).Seconds())
 }
 
 // newServerObs registers the push-style instruments on a fresh registry.
@@ -108,18 +115,38 @@ func newServerObs() *serverObs {
 			"Time compute-pool tasks held their slot in seconds, by task stage.", nil, "stage"),
 		queueWait: reg.HistogramVec("ramp_sched_queue_wait_seconds",
 			"Time compute-pool tasks spent awaiting a slot in seconds, by task stage.", nil, "stage"),
-		cacheOps: reg.CounterVec("ramp_stage_cache_ops_total",
-			"Stage-cache operations, by stage, operation, and outcome.", "stage", "op", "outcome"),
 	}
-	o.sink = obs.NewMetricsSink(o.stageLatency)
-	o.jobSink = &jobSpanSink{hist: o.jobLatency}
+	o.stages = obs.NewMetricsSink(o.stageLatency)
 	return o
 }
 
-// storeObserver adapts the stage cache's store events onto the cacheOps
-// counter; installed via sim.StageCacheOptions.Observer.
-func (o *serverObs) storeObserver(ev store.Event) {
-	o.cacheOps.With(ev.Store, ev.Op, ev.Outcome).Inc()
+// stageCacheOps maps each ramp_stage_cache_ops_total{op,outcome} series to
+// the store.Stats count it reads.
+var stageCacheOps = []struct {
+	op, outcome string
+	count       func(store.Stats) int64
+}{
+	{"get", store.OutcomeHitMem, func(s store.Stats) int64 { return s.MemHits }},
+	{"get", store.OutcomeHitDisk, func(s store.Stats) int64 { return s.DiskHits }},
+	{"get", store.OutcomeMiss, func(s store.Stats) int64 { return s.Misses }},
+	{"get", store.OutcomeJoined, func(s store.Stats) int64 { return s.Joined }},
+	{"put", "ok", func(s store.Stats) int64 { return s.Puts }},
+	{"evict", "ok", func(s store.Stats) int64 { return s.Evicted }},
+	{"spill", "ok", func(s store.Stats) int64 { return s.Spills }},
+	{"spill", "error", func(s store.Stats) int64 { return s.SpillFailures }},
+}
+
+// stageStats picks one stage's store counters out of a stage-cache
+// snapshot.
+func stageStats(ss sim.StageCacheStats, stage string) store.Stats {
+	switch stage {
+	case "timing":
+		return ss.Timing
+	case "thermal":
+		return ss.Thermal
+	default:
+		return ss.FIT
+	}
 }
 
 // bindServer attaches the scrape-time bridges over the server's live stat
@@ -128,13 +155,13 @@ func (o *serverObs) storeObserver(ev store.Event) {
 func (o *serverObs) bindServer(s *Server) {
 	reg := o.reg
 	reg.GaugeFunc("ramp_sched_queue_depth", "Compute-pool slots awaited.", nil,
-		func() float64 { return float64(s.schedStats.QueueDepth()) })
+		func() float64 { return float64(sched.Default.Stats().QueueDepth) })
 	reg.GaugeFunc("ramp_sched_inflight_tasks", "Compute-pool slots held.", nil,
-		func() float64 { return float64(s.schedStats.InFlight()) })
+		func() float64 { return float64(sched.Default.Stats().InFlight) })
 	reg.CounterFunc("ramp_sched_tasks_completed_total", "Compute-pool tasks finished without error.", nil,
-		func() float64 { return float64(s.schedStats.Completed()) })
+		func() float64 { return float64(sched.Default.Stats().Completed) })
 	reg.CounterFunc("ramp_sched_tasks_failed_total", "Compute-pool tasks finished with an error.", nil,
-		func() float64 { return float64(s.schedStats.Failed()) })
+		func() float64 { return float64(sched.Default.Stats().Failed) })
 
 	reg.GaugeFunc("ramp_result_cache_entries", "Resident whole-study results.", nil,
 		func() float64 { return float64(s.cache.Stats().Entries) })
@@ -144,20 +171,14 @@ func (o *serverObs) bindServer(s *Server) {
 		func() float64 { return float64(s.cache.Stats().Misses) })
 
 	for _, stage := range []string{"timing", "thermal", "fit"} {
-		stage := stage
 		reg.GaugeFunc("ramp_stage_cache_entries", "Resident stage-cache artifacts, by stage.",
 			[]obs.Label{{Name: "stage", Value: stage}},
-			func() float64 {
-				ss := s.stageCache.Stats()
-				switch stage {
-				case "timing":
-					return float64(ss.Timing.Entries)
-				case "thermal":
-					return float64(ss.Thermal.Entries)
-				default:
-					return float64(ss.FIT.Entries)
-				}
-			})
+			func() float64 { return float64(stageStats(s.stageCache.Stats(), stage).Entries) })
+		for _, c := range stageCacheOps {
+			reg.CounterFunc("ramp_stage_cache_ops_total", "Stage-cache operations, by stage, operation, and outcome.",
+				[]obs.Label{{Name: "stage", Value: stage}, {Name: "op", Value: c.op}, {Name: "outcome", Value: c.outcome}},
+				func() float64 { return float64(c.count(stageStats(s.stageCache.Stats(), stage))) })
+		}
 	}
 
 	reg.GaugeFunc("ramp_study_traces_retained", "Study traces retained for /v1/study/trace.", nil,
@@ -200,28 +221,3 @@ func (o *serverObs) bindServer(s *Server) {
 	reg.GaugeFunc("ramp_jobs_failed", "Batch jobs failed permanently since start.", nil,
 		func() float64 { return float64(s.jobs.Stats().Failed) })
 }
-
-// schedRecorder is the server's sched.Recorder for the compute pool: the
-// shared atomic counters plus the per-stage slot-hold and slot-wait
-// histograms via the optional sched.StageObserver and sched.QueueObserver
-// extensions.
-type schedRecorder struct {
-	*sched.Counters
-	latency   *obs.HistogramVec
-	queueWait *obs.HistogramVec
-}
-
-// TaskLatency implements sched.StageObserver.
-func (r *schedRecorder) TaskLatency(stage string, d time.Duration, err error) {
-	r.latency.With(stage).Observe(d.Seconds())
-}
-
-// TaskQueueWait implements sched.QueueObserver.
-func (r *schedRecorder) TaskQueueWait(stage string, d time.Duration) {
-	r.queueWait.With(stage).Observe(d.Seconds())
-}
-
-var (
-	_ sched.StageObserver = (*schedRecorder)(nil)
-	_ sched.QueueObserver = (*schedRecorder)(nil)
-)

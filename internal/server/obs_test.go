@@ -349,7 +349,7 @@ func TestStreamMetaCarriesRequestID(t *testing.T) {
 // TestMetricsConsistentUnderStreamingLoad is the snapshot-consistency
 // regression test: both /metrics formats are hammered while a streaming
 // study emits cells, with the race detector watching every counter path
-// (sched counters, registry instruments, store observer, span sinks).
+// (pool counts, registry instruments, store counts, span sinks).
 func TestMetricsConsistentUnderStreamingLoad(t *testing.T) {
 	s := newTestServer(t, nil)
 	release := make(chan struct{})

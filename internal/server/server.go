@@ -16,8 +16,10 @@
 //     Retry-After instead of queueing without bound, plus a per-flight
 //     compute deadline propagated into the simulation.
 //
-// Every request observes the shared sched.Counters, the cache counters,
-// and the request/latency/coalescing metrics exported at /metrics.
+// Every request is counted in one obs.Registry, which — with scrape-time
+// bridges over the result cache, the stage cache and the process-wide
+// compute pool — backs both views of /metrics: the JSON document and the
+// Prometheus exposition.
 package server
 
 import (
@@ -39,7 +41,6 @@ import (
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/report"
 	"github.com/ramp-sim/ramp/internal/scaling"
-	"github.com/ramp-sim/ramp/internal/sched"
 	"github.com/ramp-sim/ramp/internal/sim"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
@@ -203,12 +204,9 @@ type Server struct {
 	registry   *workload.Registry
 	cache      *Cache
 	stageCache *sim.StageCache
-	metrics    *Metrics
 	obs        *serverObs
 	logger     *slog.Logger
 	traces     *obs.TraceRing
-	schedStats *sched.Counters
-	schedRec   *schedRecorder
 	jobs       *jobs.Queue
 	ledger     *obs.Ledger // nil when disabled by Config.LedgerSize < 0
 	admission  chan struct{}
@@ -292,24 +290,19 @@ func New(cfg Config) (*Server, error) {
 	stageCache, err := sim.NewStageCache(sim.StageCacheOptions{
 		MaxEntries: cfg.StageCacheEntries,
 		Dir:        cfg.CacheDir,
-		Observer:   so.storeObserver,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: stage cache: %w", err)
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
-	schedStats := sched.NewCounters()
 	s := &Server{
 		cfg:        cfg,
 		registry:   cfg.Registry,
 		cache:      NewCache(cfg.CacheSize, cfg.CacheTTL, now),
 		stageCache: stageCache,
-		metrics:    NewMetrics(),
 		obs:        so,
 		logger:     logger,
 		traces:     obs.NewTraceRing(cfg.TraceRetain),
-		schedStats: schedStats,
-		schedRec:   &schedRecorder{Counters: schedStats, latency: so.schedLatency, queueWait: so.queueWait},
 		admission:  make(chan struct{}, cfg.MaxQueue),
 		mux:        http.NewServeMux(),
 		now:        now,
@@ -360,12 +353,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the server's counters (read-only use).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// SchedStats exposes the shared compute-pool counters.
-func (s *Server) SchedStats() sched.Stats { return s.schedStats }
 
 // BeginDrain flips /readyz to 503 so load balancers stop routing new
 // work while the HTTP server drains in-flight requests. Liveness
@@ -450,20 +437,13 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		}
 		r = r.WithContext(ctx)
 
-		s.metrics.Requests.Add(endpoint, 1)
 		s.obs.httpRequests.With(endpoint).Inc()
-		s.metrics.InFlightHTTP.Add(1)
 		s.obs.inflight.Add(1)
-		defer func() {
-			s.metrics.InFlightHTTP.Add(-1)
-			s.obs.inflight.Add(-1)
-		}()
+		defer s.obs.inflight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		dur := s.now().Sub(start)
-		s.metrics.Status.Add(strconv.Itoa(sw.status), 1)
 		s.obs.httpResponses.With(strconv.Itoa(sw.status)).Inc()
-		s.metrics.ObserveLatency(dur)
 		s.obs.httpLatency.ObserveExemplar(dur.Seconds(), obs.Label{Name: "trace_id", Value: tc.TraceID})
 		s.logger.Info("request",
 			"request_id", reqID,
@@ -922,7 +902,6 @@ func (s *Server) retryAfter() time.Duration {
 func (s *Server) writeRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After",
 		strconv.Itoa(int((s.retryAfter()+time.Second-1)/time.Second)))
-	s.metrics.Shed.Add(1)
 	s.obs.shed.Inc()
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"github.com/ramp-sim/ramp/internal/report"
 	"github.com/ramp-sim/ramp/internal/scaling"
+	"github.com/ramp-sim/ramp/internal/sched"
 	"github.com/ramp-sim/ramp/internal/sim"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
@@ -103,7 +104,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	}
 	// Give the second request time to join the open flight, then let the
 	// one simulation finish.
-	for s.metrics.Coalesced.Value() == 0 {
+	for s.obs.coalesced.Value() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -115,7 +116,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("simulations run = %d, want 1", got)
 	}
-	if got := s.metrics.Coalesced.Value(); got != 1 {
+	if got := s.obs.coalesced.Value(); got != 1 {
 		t.Errorf("coalesce counter = %d, want 1", got)
 	}
 	if metas[0].Key == "" || metas[0].Key != metas[1].Key {
@@ -185,7 +186,7 @@ func TestHundredConcurrentIdenticalRequests(t *testing.T) {
 		t.Errorf("simulations run = %d, want 1", got)
 	}
 	hits := s.cache.Stats().Hits
-	coalesced := s.metrics.Coalesced.Value()
+	coalesced := int64(s.obs.coalesced.Value())
 	if total := coalesced + hits; total > n-1 || total < n-10 {
 		t.Errorf("coalesced(%d) + cache hits(%d) = %d, want ~%d", coalesced, hits, total, n-1)
 	}
@@ -226,7 +227,7 @@ func TestAdmissionQueueSheds(t *testing.T) {
 	if _, hasErr := body["error"]; !hasErr {
 		t.Error("429 body carries no error field")
 	}
-	if got := s.metrics.Shed.Value(); got != 1 {
+	if got := s.obs.shed.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 
@@ -500,11 +501,10 @@ func TestServerServesRealStudy(t *testing.T) {
 		t.Error("scaled technology suite-average FIT is zero")
 	}
 
-	// The shared scheduler counters saw the study's tasks.
-	if s.schedStats.Completed() == 0 {
+	// The process-wide compute pool counted the study's tasks.
+	if ps := sched.Default.Stats(); ps.Completed == 0 {
 		t.Error("sched completed counter is zero after a real study")
-	}
-	if s.schedStats.QueueDepth() != 0 || s.schedStats.InFlight() != 0 {
+	} else if ps.QueueDepth != 0 || ps.InFlight != 0 {
 		t.Error("sched gauges nonzero at rest")
 	}
 }

@@ -95,7 +95,6 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 		publish(streamAppEvent{"app", ev.CellsDone, ev.CellsTotal, ev.Source, ev.Run})
 	})
 	sw, c, v, err := s.serveStream(w, r, rn, events, func(cache string) any {
-		s.metrics.Streams.Add(1)
 		s.obs.streams.Inc()
 		return streamMetaEvent{SchemaVersion: SchemaVersion, Event: "meta",
 			RequestID: reqID, Key: key, CellsTotal: cellsTotal, Cache: cache}

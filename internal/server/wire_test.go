@@ -58,7 +58,7 @@ type wireServer struct {
 	*Server
 	mu      sync.Mutex
 	results map[string]*sim.StudyResult
-	hold    atomic.Int64 // coalesced count a computation waits for; 0 = none
+	hold    atomic.Uint64 // coalesced count a computation waits for; 0 = none
 }
 
 func newWireServer(t *testing.T) *wireServer {
@@ -115,7 +115,7 @@ func (ws *wireServer) serve(method, target string, body any) *httptest.ResponseR
 // memo, returning the leader's, the follower's and the hit's responses.
 func (ws *wireServer) missFollowerHit(t *testing.T, do func() *httptest.ResponseRecorder) [3]*httptest.ResponseRecorder {
 	t.Helper()
-	before := ws.metrics.Coalesced.Value()
+	before := ws.obs.coalesced.Value()
 	ws.hold.Store(before + 1)
 	var pair [2]*httptest.ResponseRecorder
 	var wg sync.WaitGroup
@@ -128,7 +128,7 @@ func (ws *wireServer) missFollowerHit(t *testing.T, do func() *httptest.Response
 	}
 	wg.Wait()
 	ws.hold.Store(0)
-	if got := ws.metrics.Coalesced.Value(); got != before+1 {
+	if got := ws.obs.coalesced.Value(); got != before+1 {
 		t.Fatalf("coalesced %d requests, want 1", got-before)
 	}
 	hit := do()
@@ -303,7 +303,7 @@ func TestWireBytesBatchJobs(t *testing.T) {
 	checkStudyJob("miss", missBody)
 
 	// Coalesced: the job joins an interactive request's held flight.
-	ws.hold.Store(ws.metrics.Coalesced.Value() + 1)
+	ws.hold.Store(ws.obs.coalesced.Value() + 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

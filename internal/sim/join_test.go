@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,19 @@ func within[T any](t *testing.T, c <-chan T, what string) T {
 	case <-time.After(time.Minute):
 		t.Fatalf("timed out waiting for %s", what)
 		panic("unreachable")
+	}
+}
+
+// awaitJoins spins until st has counted n lookups that joined a running
+// flight, failing the test after a minute.
+func awaitJoins[T any](t *testing.T, st *store.Store[T], n int64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for st.Stats().Joined < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d lookups joined a flight, want %d", st.Stats().Joined, n)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -135,12 +149,7 @@ func TestConcurrentStudiesShareStageWork(t *testing.T) {
 // runs on for B, which receives the artifact from the one run of fn. When
 // every waiter leaves instead, the flight is cancelled and stores nothing.
 func TestStageFlightSurvivesLeaderCancel(t *testing.T) {
-	joined := make(chan struct{}, 4)
-	cache, err := NewStageCache(StageCacheOptions{Observer: func(ev store.Event) {
-		if ev.Op == store.OpGet && ev.Outcome == store.OutcomeJoined {
-			joined <- struct{}{}
-		}
-	}})
+	cache, err := NewStageCache(StageCacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +186,7 @@ func TestStageFlightSurvivesLeaderCancel(t *testing.T) {
 	a := do(ctxA, key, fn)
 	within(t, started, "the leader's flight")
 	b := do(context.Background(), key, fn)
-	within(t, joined, "the join")
+	awaitJoins(t, cache.thermal, 1)
 	cancelA()
 	if r := within(t, a, "the leader"); !errors.Is(r.err, context.Canceled) || r.out != store.OutcomeMiss {
 		t.Fatalf("cancelled leader: out=%s err=%v, want a miss ending in context.Canceled", r.out, r.err)
@@ -208,7 +217,7 @@ func TestStageFlightSurvivesLeaderCancel(t *testing.T) {
 	ctxB, cancelB := context.WithCancel(context.Background())
 	a = do(ctxA, key, block)
 	b = do(ctxB, key, block)
-	within(t, joined, "the join")
+	awaitJoins(t, cache.thermal, 2)
 	cancelA()
 	if r := within(t, a, "the first study"); !errors.Is(r.err, context.Canceled) {
 		t.Fatalf("leader err = %v, want context.Canceled", r.err)

@@ -206,9 +206,6 @@ type MCOptions struct {
 	// OnProgress, when non-nil, receives a completion event per replica
 	// batch (stage StageMC). Called from the study's goroutines.
 	OnProgress func(sched.Progress)
-	// Metrics, when non-nil, receives the compute pool's lifecycle events
-	// for the study's batches.
-	Metrics sched.Recorder
 	// OnEvent, when non-nil, receives incremental percentile/CI estimates
 	// as batches land and a final event per cell. Called from the study's
 	// goroutines; must be safe for concurrent use. Estimates cost an extra
@@ -310,7 +307,6 @@ func MonteCarloStudy(ctx context.Context, res *StudyResult, mcfg MCConfig, opts 
 		limit = sched.Default.Size()
 	}
 	progress := sched.NewTally(opts.OnProgress, map[string]int{StageMC: chunks})
-	ctx = sched.WithRecorder(ctx, opts.Metrics)
 	err = sched.Each(ctx, chunks, limit, func(ctx context.Context, k int) error {
 		start, end := k*batch, min((k+1)*batch, total)
 		err := sched.Default.Run(ctx, StageMC, func(ctx context.Context) error {
@@ -468,7 +464,6 @@ func RunMCStudyContext(ctx context.Context, cfg Config, mcfg MCConfig,
 	return MonteCarloStudy(ctx, res, mcfg, MCOptions{
 		Parallelism: opts.Parallelism,
 		OnProgress:  opts.OnProgress,
-		Metrics:     opts.Metrics,
 		OnEvent:     onEvent,
 	})
 }

@@ -2,12 +2,10 @@ package sim
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/scaling"
-	"github.com/ramp-sim/ramp/internal/store"
 )
 
 // TestStudySpans runs a small cached study under a tracer and checks the
@@ -109,21 +107,15 @@ func TestStudyUntracedIsSpanFree(t *testing.T) {
 	// exercised and the obs package's alloc test pins its cost.
 }
 
-// TestStageCacheObserver checks that cache operations flow through
-// StageCacheOptions.Observer with the stage name as the store label.
+// TestStageCacheObserver checks that cache operations are counted per
+// stage store in StageCache.Stats.
 func TestStageCacheObserver(t *testing.T) {
 	cfg := testConfig()
 	cfg.Instructions = 60_000
 	profiles := testProfiles(t)[:1]
 	techs := scaling.Generations()[:2]
 
-	var mu sync.Mutex
-	counts := map[string]int{}
-	cache, err := NewStageCache(StageCacheOptions{Observer: func(ev store.Event) {
-		mu.Lock()
-		counts[ev.Store+"/"+ev.Op+"/"+ev.Outcome]++
-		mu.Unlock()
-	}})
+	cache, err := NewStageCache(StageCacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +123,22 @@ func TestStageCacheObserver(t *testing.T) {
 	if _, err := RunStudyContext(ctx, cfg, profiles, techs, StudyOptions{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	nCells := len(profiles) * len(techs)
-	for label, want := range map[string]int{
-		"timing/put/ok":  len(profiles),
-		"thermal/put/ok": nCells,
-		"fit/put/ok":     nCells,
-		"fit/get/miss":   nCells,
+	st := cache.Stats()
+	nCells := int64(len(profiles) * len(techs))
+	for _, c := range []struct {
+		label     string
+		got, want int64
+	}{
+		{"timing puts", st.Timing.Puts, int64(len(profiles))},
+		{"thermal puts", st.Thermal.Puts, nCells},
+		{"fit puts", st.FIT.Puts, nCells},
+		{"fit misses", st.FIT.Misses, nCells},
 	} {
-		if counts[label] != want {
-			t.Errorf("%s = %d, want %d (all: %v)", label, counts[label], want, counts)
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d (all: %+v)", c.label, c.got, c.want, st)
 		}
 	}
-	if counts["timing/get/hit_mem"]+counts["timing/get/miss"] == 0 {
-		t.Errorf("no timing lookups observed: %v", counts)
+	if st.Timing.MemHits+st.Timing.Misses == 0 {
+		t.Errorf("no timing lookups counted: %+v", st)
 	}
 }

@@ -3,42 +3,47 @@ package sim
 import (
 	"context"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ramp-sim/ramp/internal/core"
+	"github.com/ramp-sim/ramp/internal/obs"
 	"github.com/ramp-sim/ramp/internal/scaling"
 	"github.com/ramp-sim/ramp/internal/sched"
 	"github.com/ramp-sim/ramp/internal/workload"
 )
 
-// peakRecorder is a sched.Recorder that also tracks the most tasks ever
-// in flight at once.
-type peakRecorder struct {
-	sched.Counters
-	mu        sync.Mutex
-	cur, peak int64
-}
-
-func (r *peakRecorder) TaskStarted() {
-	r.Counters.TaskStarted()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cur++
-	r.peak = max(r.peak, r.cur)
-}
-
-func (r *peakRecorder) TaskFinished(err error) {
-	r.mu.Lock()
-	r.cur--
-	r.mu.Unlock()
-	r.Counters.TaskFinished(err)
-}
-
-func (r *peakRecorder) maxInFlight() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.peak
+// slotUse returns how many compute-pool slot spans col holds and the
+// most of them that overlapped at any instant. The pool ends a slot's span
+// before passing the slot on, so the overlap is the number of slots held
+// at once.
+func slotUse(col *obs.Collector) (n, peak int) {
+	type edge struct {
+		at    time.Time
+		delta int
+	}
+	var edges []edge
+	for _, sp := range col.Spans() {
+		if sp.Name == obs.SpanSlot {
+			n++
+			edges = append(edges, edge{sp.Start, 1}, edge{sp.End, -1})
+		}
+	}
+	// Ends sort before starts at the same instant.
+	sort.Slice(edges, func(i, j int) bool {
+		if !edges[i].at.Equal(edges[j].at) {
+			return edges[i].at.Before(edges[j].at)
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	cur := 0
+	for _, e := range edges {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return n, peak
 }
 
 func profilesNamed(t *testing.T, names ...string) []workload.Profile {
@@ -56,7 +61,7 @@ func profilesNamed(t *testing.T, names ...string) []workload.Profile {
 
 // TestStudiesShareComputePool runs six cold 2-app × 5-tech studies and two
 // 2 000-sample Monte Carlo studies at once on one stage cache, all
-// reporting to one Recorder: three app pairs, each studied with the
+// under one tracer: three app pairs, each studied with the
 // default and the +nbti mechanism set, so studies both lead and join each
 // other's stage work. However many studies are in progress, no more
 // units of stage work than GOMAXPROCS may ever run at once.
@@ -70,9 +75,9 @@ func TestStudiesShareComputePool(t *testing.T) {
 		profilesNamed(t, "applu", "bzip2"),
 	}
 	cache := testStageCache(t)
-	rec := &peakRecorder{}
-	opts := StudyOptions{Cache: cache, Metrics: rec}
-	ctx := context.Background()
+	opts := StudyOptions{Cache: cache}
+	col := obs.NewCollector(0)
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
 
 	var wg sync.WaitGroup
 	for s := 0; s < 6; s++ {
@@ -99,12 +104,12 @@ func TestStudiesShareComputePool(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	peak := rec.maxInFlight()
-	if limit := int64(runtime.GOMAXPROCS(0)); peak > limit || peak < 1 {
+	_, peak := slotUse(col)
+	if limit := runtime.GOMAXPROCS(0); peak > limit || peak < 1 {
 		t.Errorf("peak stage work in flight = %d, want 1..GOMAXPROCS (%d)", peak, limit)
 	}
-	if got := rec.QueueDepth() + rec.InFlight(); got != 0 {
-		t.Errorf("pool gauges after every study = %d, want 0", got)
+	if ps := sched.Default.Stats(); ps.QueueDepth != 0 || ps.InFlight != 0 {
+		t.Errorf("pool gauges after every study = %+v, want 0 queued and 0 in flight", ps)
 	}
 }
 
@@ -118,17 +123,19 @@ func TestStudyParallelismOneRunsOneLeaf(t *testing.T) {
 	cfg.Instructions = 60_000
 	profiles := testProfiles(t)[:2]
 	techs := scaling.Generations()[:3]
-	rec := &peakRecorder{}
-	if _, err := RunStudyContext(context.Background(), cfg, profiles, techs,
-		StudyOptions{Parallelism: 1, Metrics: rec, Cache: testStageCache(t)}); err != nil {
+	col := obs.NewCollector(0)
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	if _, err := RunStudyContext(ctx, cfg, profiles, techs,
+		StudyOptions{Parallelism: 1, Cache: testStageCache(t)}); err != nil {
 		t.Fatal(err)
 	}
-	if peak := rec.maxInFlight(); peak != 1 {
+	units, peak := slotUse(col)
+	if peak != 1 {
 		t.Errorf("peak stage work in flight = %d, want 1", peak)
 	}
 	n, nt := len(profiles), len(techs)
-	if want := int64(n + 2*n*nt + 1 + nt); rec.Completed() != want {
-		t.Errorf("stage work units = %d, want %d", rec.Completed(), want)
+	if want := n + 2*n*nt + 1 + nt; units != want {
+		t.Errorf("stage work units = %d, want %d", units, want)
 	}
 }
 

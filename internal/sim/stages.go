@@ -17,12 +17,6 @@ type StageCacheOptions struct {
 	// Dir, when non-empty, spills encoded artifacts under it
 	// (Dir/timing, Dir/thermal, Dir/fit) so later processes start warm.
 	Dir string
-	// Observer, when non-nil, receives one store.Event per cache
-	// operation across all three stage stores (a lookup that joins
-	// another study's running computation has outcome "joined");
-	// Event.Store carries the stage name ("timing", "thermal", "fit"). It
-	// is called from simulation goroutines and must be concurrency-safe.
-	Observer func(store.Event)
 }
 
 // StageCache is the content-addressed artifact cache of the staged study
@@ -42,7 +36,7 @@ type StageCache struct {
 
 // NewStageCache builds the three per-stage stores.
 func NewStageCache(opts StageCacheOptions) (*StageCache, error) {
-	so := store.Options{MaxEntries: opts.MaxEntries, Dir: opts.Dir, Observer: opts.Observer}
+	so := store.Options{MaxEntries: opts.MaxEntries, Dir: opts.Dir}
 	timing, err := store.New("timing", so, store.JSONCodec[*ActivityTrace]())
 	if err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func (r *StudyResult) AppsAt(i int) []AppRun {
 }
 
 // Stage labels of a study's work, as reported through
-// StudyOptions.OnProgress and to the compute pool's Recorder.
+// StudyOptions.OnProgress and on the compute pool's slot spans.
 const (
 	// StageTiming is the per-profile timing simulation.
 	StageTiming = "timing"
@@ -99,11 +99,6 @@ type StudyOptions struct {
 	// per technology. It is called from the study's goroutines and must
 	// be safe for concurrent use.
 	OnProgress func(sched.Progress)
-	// Metrics, when non-nil, receives the compute pool's lifecycle events
-	// for the study's work. A shared *sched.Counters lets a long-lived
-	// observer (rampd's /metrics) track slots awaited and held across
-	// concurrent studies.
-	Metrics sched.Recorder
 	// Cache, when non-nil, memoises the study's stages content-addressed:
 	// timing per profile, thermal series per (profile × technology), and
 	// finished AppRuns per (profile × technology × reliability
@@ -190,7 +185,6 @@ func RunStudyContext(ctx context.Context, cfg Config, profiles []workload.Profil
 		}
 		defer studySpan.Finish()
 	}
-	ctx = sched.WithRecorder(ctx, opts.Metrics)
 
 	n, nt := len(profiles), len(techs)
 	traces, err := store.New("trace", store.Options{MaxEntries: n}, store.Codec[*ActivityTrace]{})
@@ -489,7 +483,6 @@ func (s *studyRun) cellResolve(ctx context.Context, i int, tech scaling.Technolo
 // and progress events carry the StageTiming label.
 func RunTimings(ctx context.Context, cfg Config, profiles []workload.Profile,
 	opts StudyOptions) ([]*ActivityTrace, error) {
-	ctx = sched.WithRecorder(ctx, opts.Metrics)
 	progress := sched.NewTally(opts.OnProgress, map[string]int{StageTiming: len(profiles)})
 	out := make([]*ActivityTrace, len(profiles))
 	err := sched.Each(ctx, len(profiles), opts.Parallelism, func(ctx context.Context, i int) error {

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,13 +43,22 @@ func within[T any](t *testing.T, c <-chan T, what string) T {
 	}
 }
 
-// lookupCounter is an Observer that counts get events, so a test can wait
-// until a number of callers have joined a flight.
-type lookupCounter struct{ wg sync.WaitGroup }
-
-func (l *lookupCounter) observe(ev Event) {
-	if ev.Op == OpGet {
-		l.wg.Done()
+// awaitLookups spins until s has counted n lookups, so a test can wait
+// until a number of callers have joined a flight. It fails the test after
+// a minute, so a hang reads as a failure.
+func awaitLookups[T any](t *testing.T, s *Store[T], n int64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		st := s.Stats()
+		got := st.MemHits + st.DiskHits + st.Misses + st.Joined
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d lookups counted, want %d", got, n)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -129,9 +139,7 @@ func TestMemoHitRatioCounters(t *testing.T) {
 // exercises the result-sharing paths.
 func TestMemoDoDedup(t *testing.T) {
 	const n = 100
-	var lookups lookupCounter
-	lookups.wg.Add(n)
-	c := newMemo(t, Options{MaxEntries: 8, Observer: lookups.observe})
+	c := newMemo(t, Options{MaxEntries: 8})
 	var calls atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -158,7 +166,7 @@ func TestMemoDoDedup(t *testing.T) {
 			mu.Unlock()
 		}()
 	}
-	lookups.wg.Wait()
+	awaitLookups(t, c, n)
 	close(release)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {

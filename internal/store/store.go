@@ -40,11 +40,6 @@ type Options struct {
 	// Dir, when non-empty, enables the disk spill tier rooted there. Each
 	// store writes under Dir/<name>/. The directory is created on demand.
 	Dir string
-	// Observer, when non-nil, receives one Event per store operation
-	// (lookups with their outcome, inserts, evictions, disk spills). It is
-	// called without the store lock held, from whatever goroutine performed
-	// the operation, and must be safe for concurrent use.
-	Observer func(Event)
 	// TTL, when positive, expires a memory-tier value that long after it
 	// was stored; an expired value is dropped and looked up as a miss.
 	TTL time.Duration
@@ -52,37 +47,15 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Event operation and outcome labels.
+// Lookup outcomes, as Do and Join return them.
 const (
-	// OpGet is a lookup; outcomes OutcomeHitMem / OutcomeHitDisk /
-	// OutcomeMiss / OutcomeJoined.
-	OpGet = "get"
-	// OpPut is an insert; outcome OutcomeOK.
-	OpPut = "put"
-	// OpEvict is an LRU eviction; outcome OutcomeOK.
-	OpEvict = "evict"
-	// OpSpill is a disk-tier write; outcomes OutcomeOK / OutcomeError.
-	OpSpill = "spill"
-
 	OutcomeHitMem  = "hit_mem"
 	OutcomeHitDisk = "hit_disk"
 	OutcomeMiss    = "miss"
 	// OutcomeJoined is a lookup that found the key in flight and waits on
 	// that computation instead of starting its own.
 	OutcomeJoined = "joined"
-	OutcomeOK     = "ok"
-	OutcomeError  = "error"
 )
-
-// Event describes one completed store operation for observability hooks.
-type Event struct {
-	// Store is the store's name (its stage, for the stage cache).
-	Store string
-	// Op is one of the Op* constants.
-	Op string
-	// Outcome is one of the Outcome* constants.
-	Outcome string
-}
 
 // Codec serialises artifacts for the disk tier.
 type Codec[T any] struct {
@@ -104,11 +77,14 @@ func JSONCodec[T any]() Codec[T] {
 
 // Stats is a consistent snapshot of a store's counters. MemHits, DiskHits,
 // Misses and Joined partition counted lookups; a disk hit re-admits the
-// decoded artifact to the memory tier.
+// decoded artifact to the memory tier. Spills counts artifacts written to
+// the disk tier and SpillFailures the writes that failed; DiskFailures
+// counts those failures plus unreadable spilled artifacts.
 type Stats struct {
 	Entries                           int
 	MemHits, DiskHits, Misses, Joined int64
 	Puts, Evicted, Expired            int64
+	Spills, SpillFailures             int64
 	DiskFailures                      int64
 }
 
@@ -129,22 +105,6 @@ type Store[T any] struct {
 	dir     string // "" = memory only
 	codec   Codec[T]
 	stats   Stats
-	observe func(Event) // nil = no observer
-}
-
-// event emits an operation event to the observer, if any. Never called
-// with s.mu held.
-func (s *Store[T]) event(op, outcome string) {
-	if s.observe != nil {
-		s.observe(Event{Store: s.name, Op: op, Outcome: outcome})
-	}
-}
-
-// evictEvents emits n eviction events.
-func (s *Store[T]) evictEvents(n int) {
-	for ; n > 0; n-- {
-		s.event(OpEvict, OutcomeOK)
-	}
 }
 
 // entry is one resident artifact.
@@ -194,7 +154,6 @@ func New[T any](name string, opts Options, codec Codec[T]) (*Store[T], error) {
 		items:   make(map[string]*list.Element),
 		flights: make(map[string]*Flight[T]),
 		codec:   codec,
-		observe: opts.Observer,
 	}
 	if opts.Dir != "" {
 		if codec.Encode == nil || codec.Decode == nil {
@@ -250,14 +209,13 @@ func (s *Store[T]) Do(ctx, base context.Context, key string,
 // Join is the first half of Do: it returns key's finished value, or the
 // flight this caller now waits on — joined, or started running fn under a
 // context derived from base. A caller given a flight must Wait on it
-// exactly once. count selects whether the lookup counts toward the stats
-// and emits a get event; a nil fn makes Join a plain lookup (Get) that
-// neither joins nor starts a flight. An invalid key is a miss that is
-// never counted, and its flight is never stored.
+// exactly once. count selects whether the lookup counts toward the stats;
+// a nil fn makes Join a plain lookup (Get) that neither joins nor starts a
+// flight. An invalid key is a miss that is never counted, and its flight
+// is never stored.
 func (s *Store[T]) Join(base context.Context, key string, count bool,
 	fn func(context.Context) (T, error)) (v T, f *Flight[T], out string) {
 	valid := validKey(key)
-	evicted := 0
 	s.mu.Lock()
 	out = OutcomeMiss
 	if valid {
@@ -271,7 +229,7 @@ func (s *Store[T]) Join(base context.Context, key string, count bool,
 			s.mu.Lock()
 			if ok {
 				v, out = dv, OutcomeHitDisk
-				evicted = s.admitLocked(key, dv)
+				s.admitLocked(key, dv)
 			} else {
 				v, f, out = s.findLocked(key, fn != nil)
 			}
@@ -285,8 +243,7 @@ func (s *Store[T]) Join(base context.Context, key string, count bool,
 		}
 		go s.fly(ctx, f, fn)
 	}
-	count = count && valid
-	if count {
+	if count && valid {
 		switch out {
 		case OutcomeHitMem:
 			s.stats.MemHits++
@@ -299,10 +256,6 @@ func (s *Store[T]) Join(base context.Context, key string, count bool,
 		}
 	}
 	s.mu.Unlock()
-	if count {
-		s.event(OpGet, out)
-	}
-	s.evictEvents(evicted)
 	return v, f, out
 }
 
@@ -354,18 +307,19 @@ func (s *Store[T]) fly(ctx context.Context, f *Flight[T], fn func(context.Contex
 		return err
 	})
 	f.val, f.err = v, err
-	evicted, stored := 0, false
+	stored := false
 	s.mu.Lock()
 	if s.flights[f.key] == f {
 		delete(s.flights, f.key)
 		if err == nil {
 			s.stats.Puts++
-			evicted, stored = s.admitLocked(f.key, v), true
+			s.admitLocked(f.key, v)
+			stored = true
 		}
 	}
 	s.mu.Unlock()
 	if stored {
-		f.put = s.spill(f.key, v, evicted)
+		f.put = s.spill(f.key, v)
 	}
 	close(f.done)
 }
@@ -406,8 +360,6 @@ type PutInfo struct {
 	// Spilled is true when the encoded artifact was written to the disk
 	// tier.
 	Spilled bool
-	// Evicted is the number of memory-tier entries displaced.
-	Evicted int
 }
 
 // Put stores the artifact under key in the memory tier and, when spill is
@@ -422,17 +374,15 @@ func (s *Store[T]) Put(key string, v T) PutInfo {
 	s.mu.Lock()
 	delete(s.flights, key)
 	s.stats.Puts++
-	evicted := s.admitLocked(key, v)
+	s.admitLocked(key, v)
 	s.mu.Unlock()
-	return s.spill(key, v, evicted)
+	return s.spill(key, v)
 }
 
-// spill finishes an insert outside the lock: it emits the put and
-// eviction events and writes the disk tier, if any.
-func (s *Store[T]) spill(key string, v T, evicted int) PutInfo {
-	s.event(OpPut, OutcomeOK)
-	info := PutInfo{Evicted: evicted}
-	s.evictEvents(evicted)
+// spill finishes an insert outside the lock: it writes the disk tier, if
+// any.
+func (s *Store[T]) spill(key string, v T) PutInfo {
+	var info PutInfo
 	if s.dir == "" {
 		return info
 	}
@@ -459,14 +409,16 @@ func (s *Store[T]) spill(key string, v T, evicted int) PutInfo {
 		s.noteSpillFailure()
 		return info
 	}
-	s.event(OpSpill, OutcomeOK)
+	s.mu.Lock()
+	s.stats.Spills++
+	s.mu.Unlock()
 	info.Spilled = true
 	return info
 }
 
-// admitLocked inserts or refreshes a memory-tier entry, returning the
-// number of entries evicted to stay within the bound; caller holds s.mu.
-func (s *Store[T]) admitLocked(key string, v T) int {
+// admitLocked inserts or refreshes a memory-tier entry, evicting the least
+// recently used entries to stay within the bound; caller holds s.mu.
+func (s *Store[T]) admitLocked(key string, v T) {
 	var expires time.Time
 	if s.ttl > 0 {
 		expires = s.now().Add(s.ttl)
@@ -475,18 +427,15 @@ func (s *Store[T]) admitLocked(key string, v T) int {
 		e := el.Value.(*entry[T])
 		e.val, e.expires = v, expires
 		s.ll.MoveToFront(el)
-		return 0
+		return
 	}
 	s.items[key] = s.ll.PushFront(&entry[T]{key: key, val: v, expires: expires})
-	evicted := 0
 	for s.ll.Len() > s.max {
 		oldest := s.ll.Back()
 		delete(s.items, oldest.Value.(*entry[T]).key)
 		s.ll.Remove(oldest)
 		s.stats.Evicted++
-		evicted++
 	}
-	return evicted
 }
 
 // path maps a key to its spill file.
@@ -501,8 +450,10 @@ func (s *Store[T]) noteDiskFailure() {
 }
 
 func (s *Store[T]) noteSpillFailure() {
-	s.noteDiskFailure()
-	s.event(OpSpill, OutcomeError)
+	s.mu.Lock()
+	s.stats.SpillFailures++
+	s.stats.DiskFailures++
+	s.mu.Unlock()
 }
 
 // Len returns the memory-tier entry count.

@@ -160,34 +160,12 @@ func TestStoreNeedsNameAndCodecForSpill(t *testing.T) {
 	}
 }
 
-// eventLog is a concurrency-safe Observer recording events by label.
-type eventLog struct {
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-func (l *eventLog) observe(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.counts == nil {
-		l.counts = make(map[string]int)
-	}
-	l.counts[ev.Store+"/"+ev.Op+"/"+ev.Outcome]++
-}
-
-func (l *eventLog) get(label string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[label]
-}
-
-// TestStoreObserverEvents pins the observer contract: one event per
+// TestStoreObserverEvents pins the operation counters: one count per
 // operation, with outcomes distinguishing the memory tier, the disk tier,
 // misses, evictions, and spills.
 func TestStoreObserverEvents(t *testing.T) {
 	dir := t.TempDir()
-	log := &eventLog{}
-	s, err := New[artifact]("tstage", Options{MaxEntries: 2, Dir: dir, Observer: log.observe}, JSONCodec[artifact]())
+	s, err := New[artifact]("tstage", Options{MaxEntries: 2, Dir: dir}, JSONCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +182,12 @@ func TestStoreObserverEvents(t *testing.T) {
 	if _, ok := s.Get(key(9)); ok {
 		t.Fatal("phantom hit")
 	}
-	for label, want := range map[string]int{
-		"tstage/put/ok":       3,
-		"tstage/spill/ok":     3,
-		"tstage/get/hit_mem":  1,
-		"tstage/get/hit_disk": 1,
-		"tstage/get/miss":     1,
-		"tstage/evict/ok":     2,
-	} {
-		if got := log.get(label); got != want {
-			t.Errorf("%s = %d, want %d (all: %v)", label, got, want, log.counts)
-		}
+	want := Stats{Entries: 2, MemHits: 1, DiskHits: 1, Misses: 1, Puts: 3, Evicted: 2, Spills: 3}
+	if got := s.Stats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
 
-	// Spill failures surface as spill/error without failing the Put.
+	// A spill failure counts without failing the Put.
 	if err := os.RemoveAll(filepath.Join(dir, "tstage")); err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +195,8 @@ func TestStoreObserverEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put(key(4), artifact{Name: "d"})
-	if got := log.get("tstage/spill/error"); got != 1 {
-		t.Errorf("spill/error = %d, want 1", got)
-	}
-	if got := log.get("tstage/put/ok"); got != 4 {
-		t.Errorf("put/ok after failed spill = %d, want 4", got)
+	want.Puts, want.Evicted, want.SpillFailures, want.DiskFailures = 4, 3, 1, 1
+	if got := s.Stats(); got != want {
+		t.Errorf("stats after a failed spill = %+v, want %+v", got, want)
 	}
 }

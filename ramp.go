@@ -209,7 +209,8 @@ type (
 	// spans out to a SpanSink. Install one on a Runner with WithTracer.
 	Tracer = obs.Tracer
 	// Span is one timed operation of a traced study (a pipeline stage, a
-	// grid cell, a cache lookup), with its parent link and attributes.
+	// grid cell, a cache lookup, a compute-pool slot hold), with its
+	// parent link and attributes.
 	Span = obs.Span
 	// SpanAttr is one key/value annotation on a span.
 	SpanAttr = obs.Attr
@@ -348,14 +349,16 @@ func RunStudy(cfg Config, profiles []Profile, techs []Technology) (*StudyResult,
 	return sim.RunStudy(cfg, profiles, techs)
 }
 
-// RunStudyContext is RunStudy with cancellation, a bounded worker pool,
-// and progress reporting. The study executes as a dependency graph —
-// timing(profile) → base(profile) → scaled(profile, tech) — so each
-// profile's scaled evaluations start as soon as its own base calibration
-// finishes. Results are bit-identical at every parallelism level.
+// RunStudyContext is RunStudy with cancellation, bounded parallelism, and
+// progress reporting. The study runs as demand: each (profile ×
+// technology) cell asks for its FIT artifact, whose computation asks for
+// the cell's thermal series, whose computation asks for the profile's
+// timing trace, and a profile's scaled cells start the moment its own base
+// cell lands. The CPU-bound steps run on the process-wide compute pool.
+// Results are bit-identical at every parallelism level.
 //
-// Deprecated: use ramp.New with WithParallelism/WithProgress/WithMetrics/
-// WithCache followed by Runner.Study; StudyOptions is the internal
+// Deprecated: use ramp.New with WithParallelism/WithProgress/WithCache
+// followed by Runner.Study; StudyOptions is the internal
 // carrier of the same knobs. RunStudyContext remains a thin, supported
 // wrapper.
 func RunStudyContext(ctx context.Context, cfg Config, profiles []Profile,

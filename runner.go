@@ -7,7 +7,6 @@ import (
 	"github.com/ramp-sim/ramp/internal/core"
 	"github.com/ramp-sim/ramp/internal/jobs"
 	"github.com/ramp-sim/ramp/internal/obs"
-	"github.com/ramp-sim/ramp/internal/sched"
 	"github.com/ramp-sim/ramp/internal/sim"
 )
 
@@ -22,12 +21,6 @@ type (
 	// AppEvent is one completed (application × technology) cell of a
 	// running study, delivered while the grid is still filling in.
 	AppEvent = sim.AppEvent
-	// MetricsRecorder observes compute-pool lifecycle events (slots
-	// awaited and held) across the studies a Runner executes.
-	MetricsRecorder = sched.Recorder
-	// MetricsCounters is the standard atomic MetricsRecorder; share one
-	// across Runners to aggregate.
-	MetricsCounters = sched.Counters
 	// RunRecord is one completed run as the cost ledger records it:
 	// identity, configuration, and wall/CPU/stage/cache cost breakdowns.
 	RunRecord = obs.RunRecord
@@ -79,7 +72,6 @@ const (
 type Runner struct {
 	parallelism int
 	progress    func(StudyProgress)
-	metrics     MetricsRecorder
 	cache       *sim.StageCache
 	tracer      *Tracer
 	batchOpts   *BatchOptions
@@ -137,15 +129,6 @@ func WithProgress(fn func(StudyProgress)) Option {
 	}
 }
 
-// WithMetrics installs a compute-pool lifecycle observer (e.g. a shared
-// *MetricsCounters) spanning every study the Runner executes.
-func WithMetrics(rec MetricsRecorder) Option {
-	return func(r *Runner) error {
-		r.metrics = rec
-		return nil
-	}
-}
-
 // WithCache attaches a content-addressed stage cache: timing artifacts per
 // application, thermal series per (application × technology), finished
 // cells per (application × technology × reliability constants). Warm
@@ -164,8 +147,8 @@ func WithCache(opts CacheOptions) Option {
 	}
 }
 
-// WithTracer instruments every study the Runner executes: pipeline-stage
-// and per-cell spans flow into the tracer's sink (e.g. a TraceCollector
+// WithTracer instruments every study the Runner executes: pipeline-stage,
+// per-cell and compute-pool slot spans flow into the tracer's sink (e.g. a TraceCollector
 // for Chrome-trace export). A nil tracer leaves execution untraced with
 // zero overhead on the stage hot paths.
 func WithTracer(t *Tracer) Option {
@@ -314,7 +297,6 @@ func (r *Runner) options(onApp func(AppEvent)) StudyOptions {
 	return StudyOptions{
 		Parallelism: r.parallelism,
 		OnProgress:  r.progress,
-		Metrics:     r.metrics,
 		Cache:       r.cache,
 		OnApp:       onApp,
 	}

@@ -46,11 +46,11 @@ func TestRunnerStudyMatchesDeprecatedAPI(t *testing.T) {
 func TestRunnerOptions(t *testing.T) {
 	cfg, profiles, techs := runnerTestInputs(t)
 	var progressed atomic.Int64
-	counters := &ramp.MetricsCounters{}
+	collector := ramp.NewTraceCollector(0)
 	runner, err := ramp.New(
 		ramp.WithParallelism(2),
 		ramp.WithProgress(func(ramp.StudyProgress) { progressed.Add(1) }),
-		ramp.WithMetrics(counters),
+		ramp.WithTracer(ramp.NewTracer(collector)),
 		ramp.WithCache(ramp.CacheOptions{MaxEntries: 32, Dir: t.TempDir()}),
 	)
 	if err != nil {
@@ -65,8 +65,14 @@ func TestRunnerOptions(t *testing.T) {
 	if progressed.Load() == 0 {
 		t.Errorf("WithProgress callback never fired")
 	}
-	if counters.Completed() == 0 {
-		t.Errorf("WithMetrics recorder observed no completed tasks")
+	slots := 0
+	for _, sp := range collector.Spans() {
+		if sp.Name == "sched.slot" {
+			slots++
+		}
+	}
+	if slots == 0 {
+		t.Errorf("WithTracer collector observed no compute-pool slot spans")
 	}
 	stats, ok := runner.CacheStats()
 	if !ok || stats.Timing.Puts == 0 {
