@@ -8,6 +8,17 @@ import "github.com/ramp-sim/ramp/internal/scaling"
 // exactly these four. nbti, hci, and tc-rainflow are the post-2004
 // additions (see PAPERS.md and SNIPPETS.md snippets 2–3).
 
+// preparer is implemented by the built-in models with a per-sample rate:
+// prepare resolves once, for one (Params, technology) pair, what the rate
+// reads from them (its technology factor, where it has one) and returns
+// the per-sample remainder, equal to Rate bit for bit. p must outlive the
+// returned function. NewEvaluatorForSet evaluates any other model (one
+// registered from outside this package, or tc-rainflow, whose Rate is 0)
+// through Rate.
+type preparer interface {
+	prepare(p *Params, tech scaling.Technology) func(Sample) float64
+}
+
 func init() {
 	mustRegister(emModel{})
 	mustRegister(smModel{})
@@ -31,6 +42,10 @@ func (emModel) Scope() MechanismScope { return ScopeStructure }
 func (emModel) Rate(s Sample, p Params, tech scaling.Technology) float64 {
 	return p.EMRate(s.AF, s.TempK, tech)
 }
+func (emModel) prepare(p *Params, tech scaling.Technology) func(Sample) float64 {
+	em, jMax, geom := &p.EM, tech.JMaxMAum2, p.EM.techFactor(tech)
+	return func(s Sample) float64 { return em.rate(s.AF, s.TempK, jMax, geom) }
+}
 
 type smModel struct{}
 
@@ -44,6 +59,10 @@ func (smModel) ParamsDescription() string {
 func (smModel) Scope() MechanismScope { return ScopeStructure }
 func (smModel) Rate(s Sample, p Params, tech scaling.Technology) float64 {
 	return p.SMRate(s.TempK)
+}
+func (smModel) prepare(p *Params, tech scaling.Technology) func(Sample) float64 {
+	sm := &p.SM
+	return func(s Sample) float64 { return sm.rate(s.TempK) }
 }
 
 type tddbModel struct{}
@@ -59,6 +78,10 @@ func (tddbModel) Scope() MechanismScope { return ScopeStructure }
 func (tddbModel) Rate(s Sample, p Params, tech scaling.Technology) float64 {
 	return p.TDDBRate(s.VddV, s.TempK, tech)
 }
+func (tddbModel) prepare(p *Params, tech scaling.Technology) func(Sample) float64 {
+	td, nomV, f := &p.TDDB, tech.VddV, p.TDDBTechFactor(tech)
+	return func(s Sample) float64 { return td.rate(s.VddV, s.TempK, nomV, f) }
+}
 
 type tcModel struct{}
 
@@ -72,6 +95,10 @@ func (tcModel) ParamsDescription() string {
 func (tcModel) Scope() MechanismScope { return ScopePackage }
 func (tcModel) Rate(s Sample, p Params, tech scaling.Technology) float64 {
 	return p.TCRate(s.DieAvgTempK)
+}
+func (tcModel) prepare(p *Params, tech scaling.Technology) func(Sample) float64 {
+	tc := &p.TC
+	return func(s Sample) float64 { return tc.rate(s.DieAvgTempK) }
 }
 
 type nbtiModel struct{}
@@ -88,6 +115,20 @@ func (nbtiModel) Rate(s Sample, p Params, tech scaling.Technology) float64 {
 	return p.NBTIRate(s.AF, s.TempK, s.VddV, tech)
 }
 
+// prepare caches the field factor at the technology's nominal supply; an
+// off-nominal (DVS, DRM) sample computes its own.
+func (nbtiModel) prepare(p *Params, tech scaling.Technology) func(Sample) float64 {
+	np := p.NBTIOrDefault()
+	nominal := np.fieldFactor(tech.VddV, tech)
+	return func(s Sample) float64 {
+		f := nominal
+		if s.VddV != tech.VddV {
+			f = np.fieldFactor(s.VddV, tech)
+		}
+		return np.rate(s.AF, s.TempK, s.VddV, f)
+	}
+}
+
 type hciModel struct{}
 
 func (hciModel) Name() string { return MechHCI }
@@ -100,6 +141,20 @@ func (hciModel) ParamsDescription() string {
 func (hciModel) Scope() MechanismScope { return ScopeStructure }
 func (hciModel) Rate(s Sample, p Params, tech scaling.Technology) float64 {
 	return p.HCIRate(s.AF, s.TempK, s.VddV, tech)
+}
+
+// prepare caches the field factor at the technology's nominal supply, as
+// nbtiModel's does.
+func (hciModel) prepare(p *Params, tech scaling.Technology) func(Sample) float64 {
+	hp := p.HCIOrDefault()
+	nominal := hp.fieldFactor(tech.VddV, tech)
+	return func(s Sample) float64 {
+		f := nominal
+		if s.VddV != tech.VddV {
+			f = hp.fieldFactor(s.VddV, tech)
+		}
+		return hp.rate(s.AF, s.TempK, s.VddV, f)
+	}
 }
 
 type tcRainflowModel struct{}

@@ -309,40 +309,6 @@ func (b Breakdown) Calibrated(c Constants) Breakdown {
 	return out
 }
 
-// scale returns the breakdown multiplied by a scalar.
-func (b Breakdown) scale(f float64) Breakdown {
-	var out Breakdown
-	for s := range b.ByStructMech {
-		for m := range b.ByStructMech[s] {
-			out.ByStructMech[s][m] = b.ByStructMech[s][m] * f
-		}
-	}
-	for name, arr := range b.Extra {
-		var scaled [microarch.NumStructures]float64
-		for s, v := range arr {
-			scaled[s] = v * f
-		}
-		out.setExtra(name, scaled)
-	}
-	return out
-}
-
-// add accumulates o (weighted by w) into b.
-func (b *Breakdown) add(o Breakdown, w float64) {
-	for s := range b.ByStructMech {
-		for m := range b.ByStructMech[s] {
-			b.ByStructMech[s][m] += float64(o.ByStructMech[s][m] * w)
-		}
-	}
-	for name, arr := range o.Extra {
-		acc := b.Extra[name]
-		for s, v := range arr {
-			acc[s] += float64(v * w)
-		}
-		b.setExtra(name, acc)
-	}
-}
-
 // setExtra stores one name-keyed mechanism's per-structure rates,
 // allocating the map on first use.
 func (b *Breakdown) setExtra(name string, arr [microarch.NumStructures]float64) {
@@ -363,13 +329,33 @@ type Evaluator struct {
 	tech     scaling.Technology
 	areaFrac [microarch.NumStructures]float64
 	set      MechanismSet
+	// entries holds each set member's prepared rate and running sum, in
+	// set order.
+	entries []evalEntry
 
 	accTime float64
-	accSum  Breakdown
 	// constRates holds series-mechanism rates (constant over the run,
 	// already multiplied by their calibration constants) folded into
 	// Average by area fraction.
 	constRates map[string]float64
+}
+
+// evalEntry is one set member as the evaluator runs it: the technology
+// factors of its rate resolved once, its calibration constant, and its
+// time-weighted per-structure sum.
+type evalEntry struct {
+	name  string
+	slot  int // fixed Breakdown slot, −1 for name-keyed (Extra) mechanisms
+	scope MechanismScope
+	rate  func(Sample) float64
+	k     float64
+	// kFrac is k·areaFrac[s], the weight of a structure-scope rate.
+	kFrac [microarch.NumStructures]float64
+
+	acc [microarch.NumStructures]float64
+	// seen marks a name-keyed entry as present in Average's Extra: it
+	// has folded at least one sample in which Instant would report it.
+	seen bool
 }
 
 // NewEvaluator builds an evaluator over the paper's four mechanisms.
@@ -408,74 +394,126 @@ func NewEvaluatorForSet(params Params, consts Constants, tech scaling.Technology
 	for i, a := range areasMm2 {
 		e.areaFrac[i] = a / total
 	}
+	e.entries = make([]evalEntry, len(set.entries))
+	for i, se := range set.entries {
+		en := &e.entries[i]
+		en.name, en.slot, en.scope = se.model.Name(), se.slot, se.model.Scope()
+		if pr, ok := se.model.(preparer); ok {
+			en.rate = pr.prepare(&e.params, tech)
+		} else {
+			m := se.model
+			en.rate = func(s Sample) float64 { return m.Rate(s, e.params, e.tech) }
+		}
+		if en.slot >= 0 {
+			en.k = consts.K[en.slot]
+		} else {
+			en.k = consts.ExtraK(en.name)
+		}
+		for s := range en.kFrac {
+			en.kFrac[s] = en.k * e.areaFrac[s]
+		}
+	}
 	return e, nil
 }
 
-// kFor returns the calibration constant of one set entry.
-func (e *Evaluator) kFor(en setEntry) float64 {
-	if en.slot >= 0 {
-		return e.consts.K[en.slot]
+// rates writes one entry's calibrated per-structure rates at an operating
+// point into out, and reports whether Instant lists the entry: a
+// name-keyed package-scope mechanism whose rate is 0 is left out of
+// Extra. The arithmetic is the pre-registry expression, (K·frac)·rate for
+// structure scope and (K·rate)·frac for package scope, so default-set
+// results are bit-identical to it.
+func (e *Evaluator) rates(en *evalEntry, af, tempK *[microarch.NumStructures]float64,
+	vddV, dieAvgK float64, out *[microarch.NumStructures]float64) bool {
+	if en.scope == ScopePackage {
+		// A package-scope FIT is a single die-level rate; distribute it
+		// by area so per-structure and per-mechanism views stay
+		// consistent.
+		total := en.k * en.rate(Sample{VddV: vddV, DieAvgTempK: dieAvgK})
+		for s := range out {
+			out[s] = total * e.areaFrac[s]
+		}
+		return en.slot >= 0 || total != 0
 	}
-	return e.consts.ExtraK(en.model.Name())
+	for s := range out {
+		out[s] = en.kFrac[s] * en.rate(Sample{AF: af[s], TempK: tempK[s], VddV: vddV, DieAvgTempK: dieAvgK})
+	}
+	return true
 }
 
 // Instant evaluates the failure-rate breakdown at one operating point:
 // per-structure activity factors and temperatures, the instantaneous
 // supply voltage, and the area-weighted average die temperature (for
 // package-scope mechanisms). Each selected mechanism contributes through
-// its registered model; for the default set the per-cell arithmetic —
-// (K·frac)·rate for structure scope, (K·rate)·frac for package scope —
-// is exactly the pre-registry expression, so results are bit-identical.
-// Series-only mechanisms (tc-rainflow) contribute 0 here.
+// its registered model. Series-only mechanisms (tc-rainflow) contribute 0
+// here.
 func (e *Evaluator) Instant(af, tempK [microarch.NumStructures]float64, vddV, dieAvgK float64) Breakdown {
 	var b Breakdown
-	for _, en := range e.set.entries {
-		switch en.model.Scope() {
-		case ScopePackage:
-			// A package-scope FIT is a single die-level rate; distribute
-			// it by area so per-structure and per-mechanism views stay
-			// consistent.
-			total := e.kFor(en) * en.model.Rate(Sample{VddV: vddV, DieAvgTempK: dieAvgK}, e.params, e.tech)
-			if en.slot >= 0 {
-				for s := 0; s < microarch.NumStructures; s++ {
-					b.ByStructMech[s][en.slot] = total * e.areaFrac[s]
-				}
-			} else if total != 0 {
-				var arr [microarch.NumStructures]float64
-				for s := 0; s < microarch.NumStructures; s++ {
-					arr[s] = total * e.areaFrac[s]
-				}
-				b.setExtra(en.model.Name(), arr)
-			}
-		default:
-			k := e.kFor(en)
-			if en.slot >= 0 {
-				for s := 0; s < microarch.NumStructures; s++ {
-					b.ByStructMech[s][en.slot] = k * e.areaFrac[s] *
-						en.model.Rate(Sample{AF: af[s], TempK: tempK[s], VddV: vddV, DieAvgTempK: dieAvgK}, e.params, e.tech)
-				}
-			} else {
-				var arr [microarch.NumStructures]float64
-				for s := 0; s < microarch.NumStructures; s++ {
-					arr[s] = k * e.areaFrac[s] *
-						en.model.Rate(Sample{AF: af[s], TempK: tempK[s], VddV: vddV, DieAvgTempK: dieAvgK}, e.params, e.tech)
-				}
-				b.setExtra(en.model.Name(), arr)
-			}
+	var arr [microarch.NumStructures]float64
+	for i := range e.entries {
+		en := &e.entries[i]
+		if !e.rates(en, &af, &tempK, vddV, dieAvgK, &arr) {
+			continue
+		}
+		if en.slot < 0 {
+			b.setExtra(en.name, arr)
+			continue
+		}
+		for s, v := range arr {
+			b.ByStructMech[s][en.slot] = v
 		}
 	}
 	return b
 }
 
+// AccumulateInstant folds Instant(af, tempK, vddV, dieAvgK) held for the
+// given duration into the running average, as Accumulate would, without
+// building the breakdown: it does not allocate.
+func (e *Evaluator) AccumulateInstant(af, tempK [microarch.NumStructures]float64, vddV, dieAvgK, duration float64) {
+	if duration <= 0 {
+		return
+	}
+	var arr [microarch.NumStructures]float64
+	for i := range e.entries {
+		en := &e.entries[i]
+		if e.rates(en, &af, &tempK, vddV, dieAvgK, &arr) {
+			en.fold(&arr, duration)
+		}
+	}
+	e.accTime += duration
+}
+
 // Accumulate folds an instantaneous breakdown held for the given duration
 // into the running average. Duration units are arbitrary but must be
-// consistent across calls.
+// consistent across calls. Only the evaluator's own mechanisms are read
+// from b.
 func (e *Evaluator) Accumulate(b Breakdown, duration float64) {
 	if duration <= 0 {
 		return
 	}
-	e.accSum.add(b, duration)
+	for i := range e.entries {
+		en := &e.entries[i]
+		var arr [microarch.NumStructures]float64
+		if en.slot >= 0 {
+			for s := range arr {
+				arr[s] = b.ByStructMech[s][en.slot]
+			}
+		} else if x, ok := b.Extra[en.name]; ok {
+			arr = x
+		} else {
+			continue
+		}
+		en.fold(&arr, duration)
+	}
 	e.accTime += duration
+}
+
+// fold adds one sample's rates, weighted by its duration, to the running
+// sum.
+func (en *evalEntry) fold(rates *[microarch.NumStructures]float64, w float64) {
+	for s, v := range rates {
+		en.acc[s] += float64(v * w)
+	}
+	en.seen = true
 }
 
 // AddConstantRate folds a series-level mechanism's rate — constant over
@@ -497,7 +535,21 @@ func (e *Evaluator) AddConstantRate(name string, rate float64) {
 func (e *Evaluator) Average() Breakdown {
 	var avg Breakdown
 	if e.accTime != 0 {
-		avg = e.accSum.scale(1 / e.accTime)
+		f := 1 / e.accTime
+		for i := range e.entries {
+			en := &e.entries[i]
+			var arr [microarch.NumStructures]float64
+			for s, v := range en.acc {
+				arr[s] = v * f
+			}
+			if en.slot >= 0 {
+				for s, v := range arr {
+					avg.ByStructMech[s][en.slot] = v
+				}
+			} else if en.seen {
+				avg.setExtra(en.name, arr)
+			}
+		}
 	}
 	for name, rate := range e.constRates {
 		var arr [microarch.NumStructures]float64
@@ -520,7 +572,9 @@ func (e *Evaluator) AccumulatedTime() float64 { return e.accTime }
 
 // Reset clears the running average.
 func (e *Evaluator) Reset() {
-	e.accSum = Breakdown{}
+	for i := range e.entries {
+		e.entries[i].acc, e.entries[i].seen = [microarch.NumStructures]float64{}, false
+	}
 	e.accTime = 0
 	e.constRates = nil
 }

@@ -19,6 +19,23 @@ func newBaseEvaluator(t *testing.T, consts Constants) *Evaluator {
 	return e
 }
 
+// scale returns the breakdown multiplied by a scalar.
+func (b Breakdown) scale(f float64) Breakdown {
+	out := Breakdown{}
+	for s := range b.ByStructMech {
+		for m := range b.ByStructMech[s] {
+			out.ByStructMech[s][m] = b.ByStructMech[s][m] * f
+		}
+	}
+	for name, arr := range b.Extra {
+		for s := range arr {
+			arr[s] *= f
+		}
+		out.setExtra(name, arr)
+	}
+	return out
+}
+
 func typicalOperatingPoint() (af, temps [microarch.NumStructures]float64, vdd, dieAvg float64) {
 	af = [microarch.NumStructures]float64{0.15, 0.24, 0.15, 0.23, 0.13, 0.19, 0.06}
 	for i := range temps {

@@ -102,6 +102,11 @@ type samplerCell struct {
 	// c1, c2 are the Weibull scale mean/Γ(1+1/β) and 1/β, or the
 	// lognormal μ = ln(mean) − σ²/2 and σ.
 	c1, c2 float64
+	// a is the Weibull key factor c1^β (see key).
+	a float64
+	// group is the cell's index in LifetimeSampler.groups, or −1 for a
+	// cell whose lifetime is computed as it is drawn.
+	group int
 }
 
 // cellKind selects how a samplerCell draws.
@@ -117,7 +122,7 @@ const (
 // newSamplerCell resolves a cell's draw and precomputes its constants with
 // the same operations the distribution's Sample performs per draw.
 func newSamplerCell(d Distribution, meanHours float64) samplerCell {
-	c := samplerCell{dist: d, meanHours: meanHours}
+	c := samplerCell{dist: d, meanHours: meanHours, group: -1}
 	switch d := d.(type) {
 	case Exponential:
 		c.kind = cellExponential
@@ -126,6 +131,7 @@ func newSamplerCell(d Distribution, meanHours float64) samplerCell {
 			c.kind = cellWeibull
 			c.c1 = meanHours / math.Gamma(1+1/d.Shape)
 			c.c2 = 1 / d.Shape
+			c.a = math.Pow(c.c1, d.Shape)
 		}
 	case Lognormal:
 		if d.Sigma >= 0 {
@@ -142,27 +148,107 @@ func (c *samplerCell) sample(rng *rand.Rand) float64 {
 	switch c.kind {
 	case cellExponential:
 		return rng.ExpFloat64() * c.meanHours
-	case cellWeibull:
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return c.c1 * math.Pow(-math.Log(u), c.c2)
-	case cellLognormal:
-		return math.Exp(c.c1 + float64(c.c2*rng.NormFloat64()))
+	case cellWeibull, cellLognormal:
+		return c.lifetime(c.draw(rng))
 	default:
 		return c.dist.Sample(rng, c.meanHours)
 	}
 }
 
+// draw takes a Weibull or lognormal cell's variate from rng: −ln u for a
+// Weibull cell, the log-lifetime μ+σz for a lognormal one.
+func (c *samplerCell) draw(rng *rand.Rand) float64 {
+	if c.kind == cellLognormal {
+		return c.c1 + float64(c.c2*rng.NormFloat64())
+	}
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return -math.Log(u)
+}
+
+// lifetime maps a draw to the cell's lifetime in hours.
+func (c *samplerCell) lifetime(d float64) float64 {
+	if c.kind == cellLognormal {
+		return math.Exp(d)
+	}
+	return c.c1 * math.Pow(d, c.c2)
+}
+
+// key maps a draw to a number that increases with the cell's lifetime and
+// is comparable across one shape group without Pow or Exp: the
+// log-lifetime itself for a lognormal cell, and c1^β·(−ln u), the β-th
+// power of the lifetime, for a Weibull cell.
+func (c *samplerCell) key(d float64) float64 {
+	if c.kind == cellLognormal {
+		return d
+	}
+	return c.a * d
+}
+
+// Shape groups. A replica's lifetime is the minimum over its cells, so a
+// group of cells whose keys order their lifetimes needs the lifetime only
+// of its smallest-key cell. Keys carry the rounding of one Pow and one
+// multiply, and Log, Exp and Pow are accurate to a few ulp, so a cell
+// whose key exceeds the group's smallest by more than tieMargin (relative
+// for Weibull keys, absolute for log-lifetimes, ~10⁶ times those errors)
+// has the larger computed lifetime too; every cell within the margin is
+// computed, so the minimum is bit-identical to computing all of them.
+const (
+	tieMargin = 1e-9
+	// maxGroupShape bounds the Weibull β of a grouped cell: Pow(c1, β)'s
+	// error grows with β, and must stay far inside tieMargin.
+	maxGroupShape = 100
+	// minNegLogU and maxNegLogU bound −ln u for every u rand.Float64
+	// returns, u ∈ [2⁻⁶³, 1−2⁻⁵³].
+	minNegLogU = 1.1102230246251565e-16
+	maxNegLogU = 43.66827237527655
+	// maxAbsNormal bounds |z| for every z rand.NormFloat64 returns.
+	maxAbsNormal = 17
+)
+
+// sampleGroup is a set of cells whose keys compare: Weibull cells with one
+// 1/β, or all lognormal cells.
+type sampleGroup struct {
+	kind  cellKind
+	c2    float64
+	cells []int
+}
+
+// groupable reports whether a cell's key and lifetime, and Pow's
+// intermediate l^(1/β), are normal numbers far from the range limits for
+// every draw, where ulp-level error bounds hold. Other cells are computed
+// as they are drawn.
+func (c *samplerCell) groupable() bool {
+	normal := func(xs ...float64) bool {
+		for _, x := range xs {
+			if !(x >= 1e-290 && x <= 1e290) {
+				return false
+			}
+		}
+		return true
+	}
+	switch c.kind {
+	case cellWeibull:
+		lo, hi := math.Pow(minNegLogU, c.c2), math.Pow(maxNegLogU, c.c2)
+		return 1/c.c2 <= maxGroupShape &&
+			normal(c.c1, c.a, c.a*minNegLogU, c.a*maxNegLogU, lo, hi, c.c1*lo, c.c1*hi)
+	case cellLognormal:
+		return math.Abs(c.c1)+float64(c.c2*maxAbsNormal) <= 700
+	}
+	return false
+}
+
 // LifetimeSampler draws series-system processor lifetimes for one
 // calibrated FIT breakdown under a per-mechanism lifetime model. It
-// precomputes the positive-rate cells once so each replica pays only the
-// per-cell sampling cost. A LifetimeSampler is immutable after
-// NewLifetimeSampler and safe for concurrent use; callers supply the rng.
+// precomputes the positive-rate cells and their shape groups once so each
+// replica pays only the per-cell draw and, per group, one lifetime. A
+// LifetimeSampler is immutable after NewLifetimeSampler and safe for
+// concurrent use; callers supply the rng.
 type LifetimeSampler struct {
-	cells []samplerCell
-	model LifetimeModel
+	cells  []samplerCell
+	groups []sampleGroup
 }
 
 // NewLifetimeSampler validates the model and collects the positive-rate
@@ -206,20 +292,75 @@ func NewLifetimeSampler(b Breakdown, model LifetimeModel) (*LifetimeSampler, err
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("core: breakdown has no positive failure rates")
 	}
-	return &LifetimeSampler{cells: cells, model: model}, nil
+	return groupCells(cells), nil
+}
+
+// groupCells builds the sampler over cells, in draw order, assigning each
+// groupable cell to its shape group.
+func groupCells(cells []samplerCell) *LifetimeSampler {
+	ls := &LifetimeSampler{cells: cells}
+	for i := range cells {
+		c := &cells[i]
+		if !c.groupable() {
+			continue
+		}
+		c.group = len(ls.groups)
+		for g, grp := range ls.groups {
+			if grp.kind == c.kind && (c.kind == cellLognormal || grp.c2 == c.c2) {
+				c.group = g
+				break
+			}
+		}
+		if c.group == len(ls.groups) {
+			ls.groups = append(ls.groups, sampleGroup{kind: c.kind, c2: c.c2})
+		}
+		ls.groups[c.group].cells = append(ls.groups[c.group].cells, i)
+	}
+	return ls
 }
 
 // Cells returns the number of positive-rate (structure, mechanism) cells.
 func (ls *LifetimeSampler) Cells() int { return len(ls.cells) }
 
 // Sample draws one processor lifetime in years: one draw per positive-rate
-// cell with the cell's mean, minimum across the series system.
+// cell with the cell's mean, minimum across the series system. Every cell
+// draws from rng in cell order, so the stream is the one a per-cell loop
+// consumes; a grouped cell's lifetime is computed only when its key ties
+// its group's smallest (see tieMargin).
 func (ls *LifetimeSampler) Sample(rng *rand.Rand) float64 {
+	var stack [64]float64
+	var draws []float64
+	if n := len(ls.cells); n <= len(stack) {
+		draws = stack[:n]
+	} else {
+		draws = make([]float64, n)
+	}
 	minLife := math.Inf(1)
 	for i := range ls.cells {
-		l := ls.cells[i].sample(rng)
-		if l < minLife {
+		c := &ls.cells[i]
+		if c.group >= 0 {
+			draws[i] = c.draw(rng)
+		} else if l := c.sample(rng); l < minLife {
 			minLife = l
+		}
+	}
+	for g := range ls.groups {
+		grp := &ls.groups[g]
+		lo := math.Inf(1)
+		for _, i := range grp.cells {
+			lo = min(lo, ls.cells[i].key(draws[i]))
+		}
+		limit := lo + tieMargin
+		if grp.kind == cellWeibull {
+			limit = lo * (1 + tieMargin)
+		}
+		for _, i := range grp.cells {
+			c := &ls.cells[i]
+			if c.key(draws[i]) <= limit {
+				if l := c.lifetime(draws[i]); l < minLife {
+					minLife = l
+				}
+			}
 		}
 	}
 	return minLife / phys.HoursPerYear

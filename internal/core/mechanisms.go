@@ -304,38 +304,57 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// The built-in rates below are each written once, as two pieces: a
+// factor fixed by the technology point (and, for NBTI and HCI, by the
+// supply voltage), and a per-sample part that takes the factor as an
+// argument. The public Params.*Rate functions compose the two on every
+// call; an Evaluator computes the factor once per technology point
+// (prepare, in builtins.go) and calls the per-sample part alone, so both
+// paths produce the same bits.
+
 // EMRate returns the electromigration failure rate (up to the calibration
 // constant) of a structure with activity factor af at temperature tK on
 // technology tech: FIT ∝ (p·J_max)^n · e^{−Ea/kT} · κ^{−GeomExponent}.
 func (p Params) EMRate(af, tK float64, tech scaling.Technology) float64 {
+	return p.EM.rate(af, tK, tech.JMaxMAum2, p.EM.techFactor(tech))
+}
+
+// techFactor returns EM's interconnect-geometry factor κ^{−GeomExponent}.
+func (em *EMParams) techFactor(tech scaling.Technology) float64 {
+	return math.Pow(tech.WireScale, -em.GeomExponent)
+}
+
+// rate is EMRate given the technology's J_max and geometry factor geom.
+func (em *EMParams) rate(af, tK, jMax, geom float64) float64 {
 	if af < 0 {
 		af = 0
 	}
-	j := af * tech.JMaxMAum2
+	j := af * jMax
 	if j == 0 || tK <= 0 {
 		return 0
 	}
-	geom := math.Pow(tech.WireScale, -p.EM.GeomExponent)
-	return math.Pow(j, p.EM.N) *
-		math.Exp(-p.EM.ActivationEnergyEV/(phys.BoltzmannEV*tK)) *
+	return math.Pow(j, em.N) *
+		math.Exp(-em.ActivationEnergyEV/(phys.BoltzmannEV*tK)) *
 		geom
 }
 
 // SMRate returns the stress-migration failure rate (up to calibration) at
 // temperature tK: FIT ∝ |T₀−T|^{m} · e^{−Ea/kT}.
-func (p Params) SMRate(tK float64) float64 {
+func (p Params) SMRate(tK float64) float64 { return p.SM.rate(tK) }
+
+func (sm *SMParams) rate(tK float64) float64 {
 	if tK <= 0 {
 		return 0
 	}
-	dT := math.Abs(p.SM.T0K - tK)
-	return math.Pow(dT, p.SM.M) *
-		math.Exp(-p.SM.ActivationEnergyEV/(phys.BoltzmannEV*tK))
+	dT := math.Abs(sm.T0K - tK)
+	return math.Pow(dT, sm.M) *
+		math.Exp(-sm.ActivationEnergyEV/(phys.BoltzmannEV*tK))
 }
 
-// tddbTempTerm returns e^{−(X + Y/T + Z·T)/kT}, the FIT-side temperature
+// tempTerm returns e^{−(X + Y/T + Z·T)/kT}, the FIT-side temperature
 // acceleration of Eq. 3.
-func (p Params) tddbTempTerm(tK float64) float64 {
-	g := (p.TDDB.XEV + float64(p.TDDB.YEVK/tK) + float64(p.TDDB.ZEVPerK*tK)) / (phys.BoltzmannEV * tK)
+func (td *TDDBParams) tempTerm(tK float64) float64 {
+	g := (td.XEV + float64(td.YEVK/tK) + float64(td.ZEVPerK*tK)) / (phys.BoltzmannEV * tK)
 	return math.Exp(-g)
 }
 
@@ -357,23 +376,31 @@ func (p Params) TDDBTechFactor(tech scaling.Technology) float64 {
 // the printed Wu et al. exponent (V/Vnom)^{a−bT}; cross-technology scaling
 // uses TDDBTechFactor.
 func (p Params) TDDBRate(vddV, tK float64, tech scaling.Technology) float64 {
+	return p.TDDB.rate(vddV, tK, tech.VddV, p.TDDBTechFactor(tech))
+}
+
+// rate is TDDBRate given the technology's nominal supply nomV and its
+// TDDBTechFactor.
+func (td *TDDBParams) rate(vddV, tK, nomV, techFactor float64) float64 {
 	if tK <= 0 || vddV <= 0 {
 		return 0
 	}
-	exponent := p.TDDB.A - float64(p.TDDB.B*tK)
-	dvs := math.Pow(vddV/tech.VddV, exponent)
-	return dvs * p.tddbTempTerm(tK) * p.TDDBTechFactor(tech)
+	exponent := td.A - float64(td.B*tK)
+	dvs := math.Pow(vddV/nomV, exponent)
+	return dvs * td.tempTerm(tK) * techFactor
 }
 
 // TCRate returns the package thermal-cycling failure rate (up to
 // calibration) for an average die temperature dieAvgK:
 // FIT ∝ (T_avg − T_ambient)^{q}.
-func (p Params) TCRate(dieAvgK float64) float64 {
-	dT := dieAvgK - p.TC.AmbientK
+func (p Params) TCRate(dieAvgK float64) float64 { return p.TC.rate(dieAvgK) }
+
+func (tc *TCParams) rate(dieAvgK float64) float64 {
+	dT := dieAvgK - tc.AmbientK
 	if dT <= 0 {
 		return 0
 	}
-	return math.Pow(dT, p.TC.Q)
+	return math.Pow(dT, tc.Q)
 }
 
 // NBTIRate returns the negative-bias temperature instability failure rate
@@ -382,10 +409,23 @@ func (p Params) TCRate(dieAvgK float64) float64 {
 // the oxide field relative to the 180nm base and relieved by dynamic
 // recovery in proportion to the activity factor.
 func (p Params) NBTIRate(af, tK, vddV float64, tech scaling.Technology) float64 {
+	np := p.NBTIOrDefault()
+	return np.rate(af, tK, vddV, np.fieldFactor(vddV, tech))
+}
+
+// fieldFactor returns NBTI's oxide-field acceleration at supply vddV on
+// technology tech, relative to the 180nm base.
+func (np *NBTIParams) fieldFactor(vddV float64, tech scaling.Technology) float64 {
+	base := scaling.Base()
+	field := (vddV / tech.ToxNm) / (base.VddV / base.ToxNm)
+	return math.Pow(field, np.FieldExponent)
+}
+
+// rate is NBTIRate given the fieldFactor at vddV.
+func (np *NBTIParams) rate(af, tK, vddV, field float64) float64 {
 	if tK <= 0 || vddV <= 0 {
 		return 0
 	}
-	np := p.NBTIOrDefault()
 	kT := phys.BoltzmannEV * tK
 	inner := np.A / (1 + 2*math.Exp(np.B/kT))
 	if inner <= np.C {
@@ -396,9 +436,7 @@ func (p Params) NBTIRate(af, tK, vddV float64, tech scaling.Technology) float64 
 		return 0
 	}
 	rate := math.Pow(term, -1/np.Beta)
-	base := scaling.Base()
-	field := (vddV / tech.ToxNm) / (base.VddV / base.ToxNm)
-	rate *= math.Pow(field, np.FieldExponent)
+	rate *= field
 	if af < 0 {
 		af = 0
 	} else if af > 1 {
@@ -414,13 +452,24 @@ func (p Params) NBTIRate(af, tK, vddV float64, tech scaling.Technology) float64 
 // term whose default activation energy is negative (HCI is classically
 // worse at low temperature).
 func (p Params) HCIRate(af, tK, vddV float64, tech scaling.Technology) float64 {
+	hp := p.HCIOrDefault()
+	return hp.rate(af, tK, vddV, hp.fieldFactor(vddV, tech))
+}
+
+// fieldFactor returns HCI's lateral-field acceleration at supply vddV on
+// technology tech, relative to the 180nm base.
+func (hp *HCIParams) fieldFactor(vddV float64, tech scaling.Technology) float64 {
+	base := scaling.Base()
+	field := (vddV / float64(tech.FeatureNm)) / (base.VddV / float64(base.FeatureNm))
+	return math.Pow(field, hp.FieldExponent)
+}
+
+// rate is HCIRate given the fieldFactor at vddV.
+func (hp *HCIParams) rate(af, tK, vddV, field float64) float64 {
 	if tK <= 0 || vddV <= 0 || af <= 0 {
 		return 0
 	}
-	hp := p.HCIOrDefault()
-	base := scaling.Base()
-	field := (vddV / float64(tech.FeatureNm)) / (base.VddV / float64(base.FeatureNm))
-	return af * math.Pow(field, hp.FieldExponent) *
+	return af * field *
 		math.Exp(-hp.ActivationEnergyEV/(phys.BoltzmannEV*tK))
 }
 

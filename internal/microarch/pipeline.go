@@ -247,7 +247,7 @@ func (s *Simulator) step(in trace.Instruction) {
 
 	// ---- Fetch: in-order, bandwidth-limited, I-cache latency on new lines.
 	fetchT := s.fetchHead
-	line := in.PC >> uint(log2(uint64(cfg.L1I.LineBytes)))
+	line := in.PC >> s.l1i.lineShift
 	if line != s.lastLine {
 		s.lastLine = line
 		if !s.l1i.Access(in.PC) {
@@ -493,14 +493,4 @@ func predictorKindOrDefault(k PredictorKind) PredictorKind {
 		return PredictorGshare
 	}
 	return k
-}
-
-// log2 returns floor(log2(x)) for x > 0.
-func log2(x uint64) int {
-	n := 0
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -68,6 +69,10 @@ type family struct {
 	mu     sync.Mutex
 	series map[string]*series // keyed by rendered label string
 	order  []string           // insertion order, sorted at exposition
+	// byValues indexes the series a Vec's With has resolved by their
+	// label-value tuple (valuesKey), so a repeat lookup neither renders
+	// labels nor allocates.
+	byValues map[string]*series
 }
 
 // series is one labelled instrument within a family.
@@ -252,7 +257,8 @@ func (r *Registry) familyFor(name, help string, kind metricKind, labels []string
 		f = &family{
 			name: name, help: help, kind: kind,
 			labels: labels, buckets: buckets,
-			series: make(map[string]*series),
+			series:   make(map[string]*series),
+			byValues: make(map[string]*series),
 		}
 		r.fams[name] = f
 		return f
@@ -282,6 +288,34 @@ func (f *family) seriesFor(labels []Label) *series {
 		f.order = append(f.order, key)
 	}
 	return s
+}
+
+// seriesWith returns the series for one label-value tuple of a Vec
+// family, resolving it through seriesFor only the first time.
+func (f *family) seriesWith(names, values []string) *series {
+	var buf [64]byte
+	key := valuesKey(buf[:0], values)
+	f.mu.Lock()
+	s, ok := f.byValues[string(key)]
+	f.mu.Unlock()
+	if ok {
+		return s
+	}
+	s = f.seriesFor(zipLabels(names, values))
+	f.mu.Lock()
+	f.byValues[string(key)] = s
+	f.mu.Unlock()
+	return s
+}
+
+// valuesKey appends a label-value tuple to dst, each value prefixed by
+// its length, so distinct tuples never share a key.
+func valuesKey(dst []byte, values []string) []byte {
+	for _, v := range values {
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // Counter registers (or returns) an unlabelled counter.
@@ -337,7 +371,7 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // With returns the counter for the given label values (one per label
 // name, in order), creating it on first use.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.seriesFor(zipLabels(v.labels, values)).ctr
+	return v.f.seriesWith(v.labels, values).ctr
 }
 
 // Each calls fn with the label values and count of every counter With has
@@ -371,7 +405,7 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.seriesFor(zipLabels(v.labels, values)).gauge
+	return v.f.seriesWith(v.labels, values).gauge
 }
 
 // HistogramVec is a histogram family with a fixed label-name set.
@@ -391,7 +425,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.seriesFor(zipLabels(v.labels, values)).hist
+	return v.f.seriesWith(v.labels, values).hist
 }
 
 func zipLabels(names, values []string) []Label {

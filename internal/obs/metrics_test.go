@@ -313,3 +313,28 @@ func TestPrometheusEscaping(t *testing.T) {
 		}
 	}
 }
+
+// TestVecWithAllocs: With on an existing series resolves it without
+// rendering labels or allocating, for every Vec kind; distinct tuples
+// whose values concatenate alike stay distinct series.
+func TestVecWithAllocs(t *testing.T) {
+	reg := NewRegistry()
+	ctr := reg.CounterVec("ramp_probe_total", "", "endpoint", "code")
+	gauge := reg.GaugeVec("ramp_probe_gauge", "", "stage")
+	hist := reg.HistogramVec("ramp_probe_seconds", "", nil, "stage")
+	ctr.With("/v1/study", "200").Inc()
+	gauge.With("timing").Set(1)
+	hist.With("timing").Observe(0.01)
+	if n := testing.AllocsPerRun(100, func() {
+		ctr.With("/v1/study", "200").Inc()
+		gauge.With("timing").Add(1)
+		hist.With("timing").Observe(0.01)
+	}); n != 0 {
+		t.Fatalf("With on existing series allocates %v times per run; want 0", n)
+	}
+	ctr.With("ab", "c").Inc()
+	ctr.With("a", "bc").Inc()
+	if a, b := ctr.With("ab", "c"), ctr.With("a", "bc"); a == b || a.Value() != 1 || b.Value() != 1 {
+		t.Fatalf("tuples (ab,c) and (a,bc) share a series")
+	}
+}

@@ -467,8 +467,7 @@ func AccumulateFITContext(ctx context.Context, cfg Config, ts *ThermalSeries,
 			}
 		}
 		iv := &ts.Intervals[i]
-		fit := eval.Instant(iv.AF, iv.TempK, tech.VddV, iv.DieAvgTempK)
-		eval.Accumulate(fit, iv.DurUS)
+		eval.AccumulateInstant(iv.AF, iv.TempK, tech.VddV, iv.DieAvgTempK, iv.DurUS)
 		if cfg.RecordThermalTrace {
 			maxT := iv.TempK[0]
 			for _, t := range iv.TempK[1:] {
