@@ -55,7 +55,9 @@
 // envelope {"schema_version":1,"error":{"code","message"}}. Studies run
 // through a content-addressed stage cache (timing / thermal / reliability
 // artifacts), so requests differing only in downstream parameters replay
-// the cheap stages; -cache-dir persists those artifacts across restarts.
+// the cheap stages; -cache-dir persists those artifacts across restarts,
+// each stage store appending to one checksummed segment file of its own
+// under the directory (damaged records read as misses; nothing prunes it).
 //
 // SIGINT/SIGTERM starts a graceful shutdown: /readyz flips to 503 (liveness
 // on /healthz stays 200), the listener stops accepting, in-flight requests

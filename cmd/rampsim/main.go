@@ -11,7 +11,9 @@
 // With -cache-dir the study's stage artifacts (timing, thermal,
 // reliability) persist on disk, so a re-run that changes only downstream
 // parameters — e.g. a reliability constant via -scenario — replays from
-// the cache instead of re-simulating.
+// the cache instead of re-simulating. Each run appends its artifacts to
+// one checksummed segment file per stage under the directory; damaged
+// records read as misses, and nothing prunes the directory.
 //
 // With -trace-out the study's span tree — per-stage, per-cell, and
 // cache-lookup timings — is written as a Chrome trace-event JSON file;

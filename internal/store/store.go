@@ -6,10 +6,11 @@
 // computation and no validation beyond the key is needed.
 //
 // Finished values live in a bounded in-memory LRU, with optional TTL
-// expiry, and can optionally spill their encoded form to a directory, so a
-// cold process (or a CLI run) restarts with a warm cache. Disk I/O failures
-// degrade to cache misses: the store never fails a lookup or an insert
-// because the spill tier is unhealthy, it only counts the error.
+// expiry, and can optionally spill their encoded form to an append-only,
+// checksummed segment in a directory (segment.go), so a cold process (or a
+// CLI run) restarts with a warm cache. Disk I/O failures and damaged
+// records degrade to cache misses: the store never fails a lookup or an
+// insert because the spill tier is unhealthy, it only counts the error.
 //
 // Do (or its two halves, Join and Wait) runs a missing key's computation
 // at most once however many callers ask: later callers join the running
@@ -38,7 +39,8 @@ type Options struct {
 	// MaxEntries bounds the in-memory LRU (default 256, minimum 1).
 	MaxEntries int
 	// Dir, when non-empty, enables the disk spill tier rooted there. Each
-	// store writes under Dir/<name>/. The directory is created on demand.
+	// store appends to its own segment under Dir/<name>/ and reads the
+	// segments present when it opened. The directory is created on demand.
 	Dir string
 	// TTL, when positive, expires a memory-tier value that long after it
 	// was stored; an expired value is dropped and looked up as a miss.
@@ -79,7 +81,9 @@ func JSONCodec[T any]() Codec[T] {
 // Misses and Joined partition counted lookups; a disk hit re-admits the
 // decoded artifact to the memory tier. Spills counts artifacts written to
 // the disk tier and SpillFailures the writes that failed; DiskFailures
-// counts those failures plus unreadable spilled artifacts.
+// counts those failures plus unreadable spilled artifacts: a record that
+// cannot be read, whose stored key or checksum does not match, or that
+// does not decode.
 type Stats struct {
 	Entries                           int
 	MemHits, DiskHits, Misses, Joined int64
@@ -105,6 +109,15 @@ type Store[T any] struct {
 	dir     string // "" = memory only
 	codec   Codec[T]
 	stats   Stats
+	segs    []string     // segment paths, indexed by loc.seg
+	index   map[ikey]loc // spilled records, later ones winning
+
+	// diskMu serialises appends to the store's own segment and guards the
+	// fields below; it is taken before mu.
+	diskMu  sync.Mutex
+	ownPath string // "" = no segment yet
+	own     uint32 // the segment's index in segs
+	ownEnd  int64  // the segment's length
 }
 
 // entry is one resident artifact.
@@ -163,13 +176,15 @@ func New[T any](name string, opts Options, codec Codec[T]) (*Store[T], error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store %s: %w", name, err)
 		}
-		s.dir = dir
+		if err := s.openDisk(dir); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// validKey rejects keys that could escape the spill directory; keys are
-// hex SHA-256 digests, so anything else indicates a caller bug.
+// validKey rejects keys that are not lower-case hex of at least 16 digits;
+// keys are hex SHA-256 digests, so anything else indicates a caller bug.
 func validKey(key string) bool {
 	if len(key) < 16 {
 		return false
@@ -221,17 +236,21 @@ func (s *Store[T]) Join(base context.Context, key string, count bool,
 	if valid {
 		v, f, out = s.findLocked(key, fn != nil)
 		if out == OutcomeMiss && s.dir != "" {
-			// Disk read outside the lock: decoding can be slow and must
-			// not serialise unrelated lookups. The key may have been
-			// stored or started meanwhile, so a disk miss looks again.
-			s.mu.Unlock()
-			dv, ok := s.readDisk(key)
-			s.mu.Lock()
-			if ok {
-				v, out = dv, OutcomeHitDisk
-				s.admitLocked(key, dv)
-			} else {
-				v, f, out = s.findLocked(key, fn != nil)
+			// A key the index lacks is a disk miss without a syscall.
+			// A record is read outside the lock: decoding can be slow and
+			// must not serialise unrelated lookups. The key may have been
+			// stored or started meanwhile, so a failed read looks again.
+			if l, spilled := s.index[indexKey(key)]; spilled {
+				path := s.segs[l.seg]
+				s.mu.Unlock()
+				dv, ok := s.readDisk(path, l, key)
+				s.mu.Lock()
+				if ok {
+					v, out = dv, OutcomeHitDisk
+					s.admitLocked(key, dv)
+				} else {
+					v, f, out = s.findLocked(key, fn != nil)
+				}
 			}
 		}
 	}
@@ -281,20 +300,18 @@ func (s *Store[T]) findLocked(key string, join bool) (T, *Flight[T], string) {
 	return zero, nil, OutcomeMiss
 }
 
-// readDisk decodes key's spilled artifact, counting an unreadable one as
-// a disk failure. Called without s.mu held.
-func (s *Store[T]) readDisk(key string) (T, bool) {
+// readDisk decodes key's spilled record at l in the segment at path,
+// counting an unreadable, mismatched or undecodable one as a disk failure.
+// Called without s.mu held.
+func (s *Store[T]) readDisk(path string, l loc, key string) (T, bool) {
+	if b, ok := readRecord(path, l, key); ok {
+		if v, err := s.codec.Decode(b); err == nil {
+			return v, true
+		}
+	}
+	s.noteDiskFailure()
 	var zero T
-	b, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return zero, false
-	}
-	v, err := s.codec.Decode(b)
-	if err != nil {
-		s.noteDiskFailure()
-		return zero, false
-	}
-	return v, true
+	return zero, false
 }
 
 // fly runs one flight and settles it: a success still attached to its key
@@ -363,10 +380,10 @@ type PutInfo struct {
 }
 
 // Put stores the artifact under key in the memory tier and, when spill is
-// configured, writes the encoded form to disk (atomically, via a temp file
-// rename). Re-putting an existing key refreshes its value, LRU position
-// and TTL; putting a key in flight detaches the flight, whose waiters
-// still receive its own result.
+// configured, appends the encoded form to the store's segment. Re-putting
+// an existing key refreshes its value, LRU position and TTL; putting a key
+// in flight detaches the flight, whose waiters still receive its own
+// result.
 func (s *Store[T]) Put(key string, v T) PutInfo {
 	if !validKey(key) {
 		return PutInfo{}
@@ -387,31 +404,10 @@ func (s *Store[T]) spill(key string, v T) PutInfo {
 		return info
 	}
 	b, err := s.codec.Encode(v)
-	if err != nil {
+	if err != nil || !s.appendRecord(key, b) {
 		s.noteSpillFailure()
 		return info
 	}
-	path := s.path(key)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-"+key[:8]+"-*")
-	if err != nil {
-		s.noteSpillFailure()
-		return info
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.noteSpillFailure()
-		return info
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		s.noteSpillFailure()
-		return info
-	}
-	s.mu.Lock()
-	s.stats.Spills++
-	s.mu.Unlock()
 	info.Spilled = true
 	return info
 }
@@ -436,11 +432,6 @@ func (s *Store[T]) admitLocked(key string, v T) {
 		s.ll.Remove(oldest)
 		s.stats.Evicted++
 	}
-}
-
-// path maps a key to its spill file.
-func (s *Store[T]) path(key string) string {
-	return filepath.Join(s.dir, key+".json")
 }
 
 func (s *Store[T]) noteDiskFailure() {

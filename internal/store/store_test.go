@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -93,7 +94,10 @@ func TestStoreDiskSpill(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	// A fresh store over the same directory starts warm.
+	onlySegments(t, filepath.Join(dir, "thermal"), 1)
+
+	// A fresh store over the same directory starts warm, and spills to a
+	// segment of its own.
 	s2, err := New[artifact]("thermal", Options{MaxEntries: 4, Dir: dir}, JSONCodec[artifact]())
 	if err != nil {
 		t.Fatal(err)
@@ -101,14 +105,33 @@ func TestStoreDiskSpill(t *testing.T) {
 	if got, ok := s2.Get(key(2)); !ok || got.Name != "two" {
 		t.Fatalf("fresh store get = %+v, %v", got, ok)
 	}
-
-	// No temp files left behind.
-	matches, _ := filepath.Glob(filepath.Join(dir, "thermal", ".tmp-*"))
-	if len(matches) != 0 {
-		t.Fatalf("leftover temp files: %v", matches)
-	}
+	s2.Put(key(3), artifact{Name: "three"})
+	onlySegments(t, filepath.Join(dir, "thermal"), 2)
 }
 
+// onlySegments fails unless dir holds exactly n segments and nothing else.
+func onlySegments(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []string
+	for _, e := range ents {
+		if !e.Type().IsRegular() || filepath.Ext(e.Name()) != ".seg" {
+			t.Fatalf("%s is not a segment", e.Name())
+		}
+		segs = append(segs, filepath.Join(dir, e.Name()))
+	}
+	if len(segs) != n {
+		t.Fatalf("%d segments, want %d: %v", len(segs), n, segs)
+	}
+	return segs
+}
+
+// TestStoreDiskCorruptionDegradesToMiss flips one byte of key 1's payload
+// in the segment. The flipped record still decodes as JSON, so only the
+// checksum stands between it and a wrong answer.
 func TestStoreDiskCorruptionDegradesToMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New[artifact]("x", Options{MaxEntries: 1, Dir: dir}, JSONCodec[artifact]())
@@ -117,7 +140,17 @@ func TestStoreDiskCorruptionDegradesToMiss(t *testing.T) {
 	}
 	s.Put(key(1), artifact{Name: "one"})
 	s.Put(key(2), artifact{Name: "two"}) // push 1 to disk only
-	if err := os.WriteFile(filepath.Join(dir, "x", key(1)+".json"), []byte("{garbage"), 0o644); err != nil {
+	seg := onlySegments(t, filepath.Join(dir, "x"), 1)[0]
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(b, []byte(`"one"`))
+	if at < 0 || at > bytes.Index(b, []byte(key(2))) {
+		t.Fatalf("key 1's payload not found before key 2's record in %q", b)
+	}
+	b[at+1] = 'O'
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key(1)); ok {
@@ -125,6 +158,72 @@ func TestStoreDiskCorruptionDegradesToMiss(t *testing.T) {
 	}
 	if st := s.Stats(); st.DiskFailures != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if got, ok := s.Get(key(2)); !ok || got.Name != "two" {
+		t.Fatalf("intact record lost: %+v, %v", got, ok)
+	}
+}
+
+// TestStoreDiskTornTail cuts the segment inside its last record, as a
+// crash mid-append would. A fresh store opens, serves the records before
+// the cut and misses the torn one.
+func TestStoreDiskTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New[artifact]("x", Options{Dir: dir}, JSONCodec[artifact]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		s.Put(key(i), artifact{Name: fmt.Sprint(i), Vals: []float64{float64(i)}})
+	}
+	seg := onlySegments(t, filepath.Join(dir, "x"), 1)[0]
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New[artifact]("x", Options{Dir: dir}, JSONCodec[artifact]())
+	if err != nil {
+		t.Fatalf("open over a torn segment: %v", err)
+	}
+	for i := 1; i <= 2; i++ {
+		if got, ok := fresh.Get(key(i)); !ok || got.Name != fmt.Sprint(i) {
+			t.Fatalf("record %d before the tear: %+v, %v", i, got, ok)
+		}
+	}
+	if _, ok := fresh.Get(key(3)); ok {
+		t.Fatal("torn record served")
+	}
+	if st := fresh.Stats(); st.DiskHits != 2 || st.Misses != 1 || st.DiskFailures != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestStoreDiskKeyMismatch looks up a key that shares its index entry
+// with a spilled one: the record's full key differs, so it is a miss and
+// a disk failure, never the other key's artifact.
+func TestStoreDiskKeyMismatch(t *testing.T) {
+	s, err := New[artifact]("x", Options{MaxEntries: 1, Dir: t.TempDir()}, JSONCodec[artifact]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := key(1)
+	twin := spilled[:16] + key(2)[16:]
+	if indexKey(twin) != indexKey(spilled) {
+		t.Fatal("twin keys should share an index entry")
+	}
+	s.Put(spilled, artifact{Name: "one"})
+	s.Put(key(3), artifact{Name: "three"}) // push key 1 to disk only
+	if got, ok := s.Get(twin); ok {
+		t.Fatalf("key mismatch served %+v", got)
+	}
+	if st := s.Stats(); st.DiskFailures != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got, ok := s.Get(spilled); !ok || got.Name != "one" {
+		t.Fatalf("spilled key lost: %+v, %v", got, ok)
 	}
 }
 
